@@ -8,7 +8,7 @@
 //! by arrival. No ML features, no deadline awareness, no overload
 //! handling — exactly the gaps Figs. 4–5 expose.
 
-use crate::util::{place_in_order, running_gpu_share, FULL};
+use crate::util::{place_in_order, running_gpu_share};
 use cluster::TaskId;
 use mlfs::{Action, Scheduler, SchedulerContext};
 
@@ -43,7 +43,7 @@ impl Scheduler for BorgFair {
                 })
                 .then_with(|| a.cmp(b))
         });
-        place_in_order(ctx, &order, FULL).0
+        place_in_order(ctx, &order).0
     }
 }
 

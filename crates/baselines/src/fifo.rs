@@ -1,7 +1,7 @@
 //! Plain FIFO placement — the building block for Gandiva and a
 //! sanity-check baseline.
 
-use crate::util::{place_in_order, FULL};
+use crate::util::place_in_order;
 use mlfs::{Action, Scheduler, SchedulerContext};
 
 /// First-in-first-out scheduler: queue order is arrival order (the
@@ -22,7 +22,7 @@ impl Scheduler for Fifo {
     }
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
-        place_in_order(ctx, ctx.queue, FULL).0
+        place_in_order(ctx, ctx.queue).0
     }
 }
 

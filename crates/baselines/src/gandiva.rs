@@ -10,7 +10,7 @@
 //! the highest bandwidth cost in Fig. 4g.
 
 use crate::util::{least_loaded_host, place_in_order_gang, FULL};
-use cluster::{Cluster, ServerId, TaskId};
+use cluster::{ClusterView, ServerId, TaskId};
 use mlfs::{Action, Scheduler, SchedulerContext};
 
 /// The Gandiva scheduler.
@@ -38,7 +38,7 @@ impl Gandiva {
     /// loaded feasible server.
     fn affinity_host(
         &self,
-        plan: &Cluster,
+        plan: &impl ClusterView,
         ctx: &SchedulerContext<'_>,
         task: TaskId,
     ) -> Option<ServerId> {
@@ -46,7 +46,7 @@ impl Gandiva {
         let spec = &ctx.jobs[&task.job].spec.tasks[task.idx as usize];
         // Scan servers for an affinity match that still fits.
         let mut best: Option<ServerId> = None;
-        for s in plan.servers() {
+        for s in (0..plan.server_count()).map(|i| plan.server(ServerId(i as u32))) {
             if !s.can_host(&spec.demand, spec.gpu_share, FULL) {
                 continue;
             }
@@ -61,7 +61,7 @@ impl Gandiva {
                 break;
             }
         }
-        best.or_else(|| least_loaded_host(plan, ctx, task, FULL))
+        best.or_else(|| least_loaded_host(plan, ctx, task))
     }
 }
 
@@ -72,10 +72,9 @@ impl Scheduler for Gandiva {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
         // FIFO gang placement with affinity packing.
-        let (mut actions, mut plan) =
-            place_in_order_gang(ctx, ctx.queue, FULL, |plan, ctx, task| {
-                self.affinity_host(plan, ctx, task)
-            });
+        let (mut actions, mut plan) = place_in_order_gang(ctx, ctx.queue, |plan, task| {
+            self.affinity_host(plan, ctx, task)
+        });
 
         // GPU-overload migration: move the lowest-GPU-utilization task
         // from each overloaded GPU to the globally least-loaded GPU's
@@ -102,9 +101,8 @@ impl Scheduler for Gandiva {
                 });
                 let Some(victim) = victim else { continue };
                 // Destination: server containing the least-loaded GPU.
-                let dest = plan
-                    .servers()
-                    .iter()
+                let dest = (0..plan.server_count())
+                    .map(|i| plan.server(ServerId(i as u32)))
                     .map(|s| (s.gpu_load(s.least_loaded_gpu()), s.id))
                     .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
                     .map(|(_, s)| s);
@@ -112,9 +110,7 @@ impl Scheduler for Gandiva {
                     // Same-server moves are GPU rebalances (free);
                     // cross-server moves pay migration traffic. Both
                     // are Gandiva behaviour.
-                    let job = &ctx.jobs[&victim.job];
-                    let state_mb = 3.0 * job.spec.tasks[victim.idx as usize].partition_mb;
-                    plan.migrate(victim, dest, state_mb).ok();
+                    plan.migrate(victim, dest).ok();
                     actions.push(Action::Migrate {
                         task: victim,
                         to: dest,

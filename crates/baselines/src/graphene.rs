@@ -14,7 +14,7 @@
 //! attained-share deficit (fairness). No ML features and no accuracy
 //! objective — the paper's stated gap.
 
-use crate::util::{place_in_order, FULL};
+use crate::util::place_in_order;
 use cluster::{JobId, TaskId};
 use mlfs::{Action, Scheduler, SchedulerContext};
 use std::collections::BTreeMap;
@@ -89,7 +89,7 @@ impl Scheduler for Graphene {
                 })
                 .then_with(|| a.cmp(b))
         });
-        place_in_order(ctx, &order, FULL).0
+        place_in_order(ctx, &order).0
     }
 }
 

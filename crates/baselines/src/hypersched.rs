@@ -12,8 +12,9 @@
 //! queued tasks are withheld and, under queue pressure, their running
 //! tasks are evicted to make room for gainers.
 
-use crate::util::{try_gang_place, FULL};
-use cluster::{JobId, TaskId};
+use crate::util::{gang_place, least_loaded_host, FULL};
+use cluster::{ClusterOverlay, JobId, TaskId};
+use mlfs::gang::group_by_job;
 use mlfs::{Action, Scheduler, SchedulerContext};
 use std::collections::BTreeMap;
 use workload::{JobState, TaskRunState};
@@ -65,7 +66,7 @@ impl Scheduler for HyperSched {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
         let mut actions = Vec::new();
-        let mut plan = ctx.cluster.clone();
+        let mut plan = ClusterOverlay::new(ctx.cluster, FULL);
 
         // HyperSched trains "under a certain resource constraint …
         // before the pre-set deadline": a trial past its deadline
@@ -140,15 +141,14 @@ impl Scheduler for HyperSched {
             );
         }
         // Gang placement per job, in the computed order.
-        let mut jobs_seen: Vec<JobId> = Vec::new();
-        for t in &order {
-            if !jobs_seen.contains(&t.job) {
-                jobs_seen.push(t.job);
-            }
-        }
-        for job in jobs_seen {
-            let tasks: Vec<TaskId> = order.iter().copied().filter(|t| t.job == job).collect();
-            try_gang_place(&mut plan, ctx, &tasks, FULL, &mut actions);
+        for tasks in group_by_job(&mut order, |t| t.job) {
+            gang_place(
+                &mut plan,
+                ctx,
+                tasks,
+                |plan, task| least_loaded_host(plan, ctx, task),
+                &mut actions,
+            );
         }
         actions
     }

@@ -12,8 +12,9 @@
 //! * trains on the JCT component `g1` of the reward alone;
 //! * starts exploring immediately (no MLF-H imitation bootstrap).
 
-use crate::util::FULL;
-use cluster::{Cluster, Resource, ServerId, TaskId};
+use crate::util::{gang_place, FULL};
+use cluster::{ClusterOverlay, ClusterView, Resource, ServerId, TaskId};
+use mlfs::gang::group_by_job;
 use mlfs::{Action, RewardComponents, Scheduler, SchedulerContext};
 use rl::{FeatureBatch, ReinforceTrainer, ScoringPolicy, Step, TrainerConfig};
 use simcore::SimRng;
@@ -28,7 +29,7 @@ fn squash(x: f64) -> f64 {
 }
 
 fn features_into(
-    cluster: &Cluster,
+    cluster: &impl ClusterView,
     job: &JobState,
     task: TaskId,
     server: Option<ServerId>,
@@ -103,6 +104,45 @@ impl RlPlacer {
     pub fn import_policy(&mut self, policy: rl::ScoringPolicy) {
         self.trainer.policy = policy;
     }
+
+    /// One policy decision for `task` among the least-loaded feasible
+    /// servers: the chosen host, or `None` for the queue. The step
+    /// joins `pending` to be credited with the round's reward.
+    fn decide(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        plan: &ClusterOverlay<'_>,
+        task: TaskId,
+    ) -> Option<ServerId> {
+        let job = ctx.jobs.get(&task.job)?;
+        let spec = job.spec.tasks.get(task.idx as usize)?;
+        let mut servers: Vec<(f64, ServerId)> = (0..plan.server_count())
+            .map(|i| plan.server(ServerId(i as u32)))
+            .filter(|s| s.can_host(&spec.demand, spec.gpu_share, FULL))
+            .map(|s| (s.overload_degree(), s.id))
+            .collect();
+        servers.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        let servers: Vec<ServerId> = servers
+            .into_iter()
+            .take(self.max_candidates)
+            .map(|(_, s)| s)
+            .collect();
+        let mut feats = FeatureBatch::with_capacity(DIM, servers.len() + 1);
+        for &s in &servers {
+            features_into(plan, job, task, Some(s), ctx.now, &mut feats);
+        }
+        features_into(plan, job, task, None, ctx.now, &mut feats);
+        let choice = if self.explore {
+            self.trainer.policy.sample(&feats, &mut self.rng)
+        } else {
+            self.trainer.policy.greedy(&feats)
+        };
+        self.pending.push(Step {
+            candidates: feats,
+            action: choice,
+        });
+        servers.get(choice).copied()
+    }
 }
 
 impl Scheduler for RlPlacer {
@@ -112,76 +152,19 @@ impl Scheduler for RlPlacer {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
         let mut actions = Vec::new();
-        let mut plan = ctx.cluster.clone();
+        let mut plan = ClusterOverlay::new(ctx.cluster, FULL);
         // "Scans all tasks" in queue order, but with gang semantics: if
         // the policy parks any task of a job in the queue, the whole
         // job stays queued this round (DL workers are gang-scheduled).
-        let mut jobs_seen: Vec<cluster::JobId> = Vec::new();
-        for t in ctx.queue {
-            if !jobs_seen.contains(&t.job) {
-                jobs_seen.push(t.job);
-            }
-        }
-        for job_id in jobs_seen {
-            let tasks: Vec<TaskId> = ctx
-                .queue
-                .iter()
-                .copied()
-                .filter(|t| t.job == job_id)
-                .collect();
-            let job = &ctx.jobs[&job_id];
-            let mut placed: Vec<(TaskId, ServerId)> = Vec::new();
-            let mut complete = true;
-            for &task in &tasks {
-                let spec = &job.spec.tasks[task.idx as usize];
-                let mut servers: Vec<(f64, ServerId)> = plan
-                    .servers()
-                    .iter()
-                    .filter(|s| s.can_host(&spec.demand, spec.gpu_share, FULL))
-                    .map(|s| (s.overload_degree(), s.id))
-                    .collect();
-                servers.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-                let servers: Vec<ServerId> = servers
-                    .into_iter()
-                    .take(self.max_candidates)
-                    .map(|(_, s)| s)
-                    .collect();
-                let mut feats = FeatureBatch::with_capacity(DIM, servers.len() + 1);
-                for &s in &servers {
-                    features_into(&plan, job, task, Some(s), ctx.now, &mut feats);
-                }
-                features_into(&plan, job, task, None, ctx.now, &mut feats);
-                let choice = if self.explore {
-                    self.trainer.policy.sample(&feats, &mut self.rng)
-                } else {
-                    self.trainer.policy.greedy(&feats)
-                };
-                self.pending.push(Step {
-                    candidates: feats,
-                    action: choice,
-                });
-                if choice < servers.len()
-                    && plan
-                        .place(task, servers[choice], spec.demand, spec.gpu_share)
-                        .is_ok()
-                {
-                    placed.push((task, servers[choice]));
-                } else {
-                    // Queue chosen, or the host refused (went down
-                    // mid-round): the gang fails and rolls back.
-                    complete = false;
-                    break;
-                }
-            }
-            if complete && placed.len() == tasks.len() {
-                for (task, server) in placed {
-                    actions.push(Action::Place { task, server });
-                }
-            } else {
-                for (task, _) in placed {
-                    plan.remove(task);
-                }
-            }
+        let mut queue = ctx.queue.to_vec();
+        for tasks in group_by_job(&mut queue, |t| t.job) {
+            gang_place(
+                &mut plan,
+                ctx,
+                tasks,
+                |plan, task| self.decide(ctx, plan, task),
+                &mut actions,
+            );
         }
         actions
     }

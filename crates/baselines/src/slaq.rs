@@ -8,7 +8,7 @@
 //! deadline, no JCT objective, no overload handling — which is why the
 //! paper finds SLAQ's JCT the worst of the field.
 
-use crate::util::{place_in_order, FULL};
+use crate::util::place_in_order;
 use cluster::TaskId;
 use mlfs::{Action, Scheduler, SchedulerContext};
 use std::collections::BTreeMap;
@@ -84,7 +84,7 @@ impl Scheduler for Slaq {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.cmp(b))
         });
-        actions.extend(place_in_order(ctx, &order, FULL).0);
+        actions.extend(place_in_order(ctx, &order).0);
         actions
     }
 }

@@ -14,8 +14,9 @@
 //! running job's by a margin triggers preemption of that job's tasks —
 //! Tiresias' defining mechanism.
 
-use crate::util::{try_gang_place, FULL};
-use cluster::{JobId, TaskId};
+use crate::util::{gang_place, least_loaded_host, FULL};
+use cluster::{ClusterOverlay, JobId, TaskId};
+use mlfs::gang::group_by_job;
 use mlfs::{state_from_json, state_to_json, Action, Scheduler, SchedulerContext};
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
@@ -96,28 +97,27 @@ impl Scheduler for Tiresias {
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
         self.update_attained(ctx);
         let mut actions = Vec::new();
-        let mut plan = ctx.cluster.clone();
+        let mut plan = ClusterOverlay::new(ctx.cluster, FULL);
+        let least_loaded = |plan: &ClusterOverlay<'_>, task| least_loaded_host(plan, ctx, task);
 
         // Waiting jobs in rank order (ascending — lower rank first).
-        let mut waiting: Vec<JobId> = Vec::new();
-        for t in ctx.queue {
-            if !waiting.contains(&t.job) {
-                waiting.push(t.job);
-            }
-        }
+        let mut queue = ctx.queue.to_vec();
+        let mut waiting: Vec<(f64, JobId, &[TaskId])> = group_by_job(&mut queue, |t| t.job)
+            .filter_map(|tasks| {
+                let job = ctx.jobs.get(&tasks.first()?.job)?;
+                Some((self.rank(job), job.spec.id, tasks))
+            })
+            .collect();
         waiting.sort_by(|a, b| {
-            let ra = self.rank(&ctx.jobs[a]);
-            let rb = self.rank(&ctx.jobs[b]);
-            ra.partial_cmp(&rb)
+            a.0.partial_cmp(&b.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.cmp(b))
+                .then_with(|| a.1.cmp(&b.1))
         });
 
         let mut budget = self.preemption_budget;
         let mut evicted_jobs: Vec<JobId> = Vec::new();
-        for job in waiting {
-            let tasks: Vec<TaskId> = ctx.queue.iter().copied().filter(|t| t.job == job).collect();
-            if try_gang_place(&mut plan, ctx, &tasks, FULL, &mut actions) {
+        for (my_rank, job, tasks) in waiting {
+            if gang_place(&mut plan, ctx, tasks, least_loaded, &mut actions) {
                 continue;
             }
             // No room: consider preempting the worst-ranked running job
@@ -125,7 +125,6 @@ impl Scheduler for Tiresias {
             if budget == 0 {
                 continue;
             }
-            let my_rank = self.rank(&ctx.jobs[&job]);
             let victim_job = ctx
                 .active_jobs()
                 .filter(|j| {
@@ -149,7 +148,7 @@ impl Scheduler for Tiresias {
                     }
                     budget -= 1;
                     // Retry this gang once after the eviction.
-                    try_gang_place(&mut plan, ctx, &tasks, FULL, &mut actions);
+                    gang_place(&mut plan, ctx, tasks, least_loaded, &mut actions);
                 }
             }
         }

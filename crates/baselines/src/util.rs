@@ -1,6 +1,8 @@
-//! Placement helpers shared by the baselines.
+//! Placement helpers shared by the baselines. The gang mechanics
+//! themselves are `mlfs::gang`'s, the routine every scheduler shares.
 
-use cluster::{Cluster, ServerId, TaskId};
+use cluster::{ClusterOverlay, ClusterView, ServerId, TaskId};
+use mlfs::gang::{group_by_job, place_gang};
 use mlfs::{Action, SchedulerContext};
 
 /// Overload threshold the baselines admit tasks against. They have no
@@ -8,18 +10,16 @@ use mlfs::{Action, SchedulerContext};
 pub const FULL: f64 = 1.0;
 
 /// The least-loaded (by overload degree) server that can host the
-/// task at threshold `limit`, or `None`.
+/// task at [`FULL`] capacity, or `None`.
 pub fn least_loaded_host(
-    plan: &Cluster,
+    plan: &impl ClusterView,
     ctx: &SchedulerContext<'_>,
     task: TaskId,
-    limit: f64,
 ) -> Option<ServerId> {
-    let job = &ctx.jobs[&task.job];
-    let spec = &job.spec.tasks[task.idx as usize];
-    plan.servers()
-        .iter()
-        .filter(|s| s.can_host(&spec.demand, spec.gpu_share, limit))
+    let spec = ctx.jobs.get(&task.job)?.spec.tasks.get(task.idx as usize)?;
+    (0..plan.server_count())
+        .map(|i| plan.server(ServerId(i as u32)))
+        .filter(|s| s.can_host(&spec.demand, spec.gpu_share, FULL))
         .map(|s| (s.overload_degree(), s.id))
         .min_by(|a, b| {
             a.0.partial_cmp(&b.0)
@@ -29,24 +29,25 @@ pub fn least_loaded_host(
         .map(|(_, s)| s)
 }
 
-/// Speculatively place `task` on `server` in `plan` and record the
-/// corresponding action. A refusal (the server went down mid-round)
-/// simply drops the placement — the task stays queued for next round.
-pub fn commit_place(
-    plan: &mut Cluster,
+/// Gang-place `tasks` (one job's) on `plan` with `pick`, appending a
+/// Place action per task on success. On failure nothing is placed and
+/// `false` is returned.
+pub fn gang_place(
+    plan: &mut ClusterOverlay<'_>,
     ctx: &SchedulerContext<'_>,
-    task: TaskId,
-    server: ServerId,
+    tasks: &[TaskId],
+    pick: impl FnMut(&ClusterOverlay<'_>, TaskId) -> Option<ServerId>,
     actions: &mut Vec<Action>,
-) {
-    let job = &ctx.jobs[&task.job];
-    let spec = &job.spec.tasks[task.idx as usize];
-    if plan
-        .place(task, server, spec.demand, spec.gpu_share)
-        .is_ok()
-    {
-        actions.push(Action::Place { task, server });
-    }
+) -> bool {
+    let Some(placed) = place_gang(plan, ctx.jobs, tasks, pick) else {
+        return false;
+    };
+    actions.extend(
+        placed
+            .into_iter()
+            .map(|(task, server)| Action::Place { task, server }),
+    );
+    true
 }
 
 /// Place queue tasks in the given order with **gang semantics**: all
@@ -56,105 +57,28 @@ pub fn commit_place(
 /// making progress). Job order is the order of first appearance in
 /// `order`; within a job, tasks keep their `order` positions.
 /// `pick_host` chooses the server for each task (least-loaded by
-/// default; Gandiva passes its affinity variant).
-pub fn place_in_order_gang(
-    ctx: &SchedulerContext<'_>,
+/// default; Gandiva passes its affinity variant). Returns the actions
+/// and the speculative plan they leave.
+pub fn place_in_order_gang<'c>(
+    ctx: &SchedulerContext<'c>,
     order: &[TaskId],
-    limit: f64,
-    mut pick_host: impl FnMut(&Cluster, &SchedulerContext<'_>, TaskId) -> Option<ServerId>,
-) -> (Vec<Action>, Cluster) {
-    let mut plan = ctx.cluster.clone();
+    mut pick_host: impl FnMut(&ClusterOverlay<'_>, TaskId) -> Option<ServerId>,
+) -> (Vec<Action>, ClusterOverlay<'c>) {
+    let mut plan = ClusterOverlay::new(ctx.cluster, FULL);
     let mut actions = Vec::new();
-    // Jobs in first-appearance order.
-    let mut jobs_seen: Vec<cluster::JobId> = Vec::new();
-    for t in order {
-        if !jobs_seen.contains(&t.job) {
-            jobs_seen.push(t.job);
-        }
+    let mut order = order.to_vec();
+    for tasks in group_by_job(&mut order, |t| t.job) {
+        gang_place(&mut plan, ctx, tasks, &mut pick_host, &mut actions);
     }
-    for job in jobs_seen {
-        let tasks: Vec<TaskId> = order.iter().copied().filter(|t| t.job == job).collect();
-        let mut placed: Vec<(TaskId, ServerId)> = Vec::new();
-        let mut ok = true;
-        for &task in &tasks {
-            let spec = &ctx.jobs[&task.job].spec.tasks[task.idx as usize];
-            match pick_host(&plan, ctx, task) {
-                Some(server)
-                    if plan
-                        .place(task, server, spec.demand, spec.gpu_share)
-                        .is_ok() =>
-                {
-                    placed.push((task, server));
-                }
-                // No host, or the picked host refused (went down
-                // mid-round): the gang fails and rolls back.
-                _ => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            for (task, server) in placed {
-                actions.push(Action::Place { task, server });
-            }
-        } else {
-            // Roll the partial gang back.
-            for (task, _) in placed {
-                plan.remove(task);
-            }
-        }
-    }
-    let _ = limit;
     (actions, plan)
 }
 
-/// Attempt to place all of `tasks` (one job's gang) on `plan` with the
-/// least-loaded picker, appending Place actions on success. On failure
-/// nothing is placed and `false` is returned.
-pub fn try_gang_place(
-    plan: &mut Cluster,
-    ctx: &SchedulerContext<'_>,
-    tasks: &[TaskId],
-    limit: f64,
-    actions: &mut Vec<Action>,
-) -> bool {
-    let mut placed: Vec<(TaskId, ServerId)> = Vec::new();
-    for &task in tasks {
-        let spec = &ctx.jobs[&task.job].spec.tasks[task.idx as usize];
-        match least_loaded_host(plan, ctx, task, limit) {
-            Some(server)
-                if plan
-                    .place(task, server, spec.demand, spec.gpu_share)
-                    .is_ok() =>
-            {
-                placed.push((task, server));
-            }
-            // No host, or the picked host refused (went down
-            // mid-round): roll the partial gang back.
-            _ => {
-                for (t, _) in placed {
-                    plan.remove(t);
-                }
-                return false;
-            }
-        }
-    }
-    for (task, server) in placed {
-        actions.push(Action::Place { task, server });
-    }
-    true
-}
-
 /// [`place_in_order_gang`] with the default least-loaded host picker.
-pub fn place_in_order(
-    ctx: &SchedulerContext<'_>,
+pub fn place_in_order<'c>(
+    ctx: &SchedulerContext<'c>,
     order: &[TaskId],
-    limit: f64,
-) -> (Vec<Action>, Cluster) {
-    place_in_order_gang(ctx, order, limit, |plan, ctx, task| {
-        least_loaded_host(plan, ctx, task, limit)
-    })
+) -> (Vec<Action>, ClusterOverlay<'c>) {
+    place_in_order_gang(ctx, order, |plan, task| least_loaded_host(plan, ctx, task))
 }
 
 /// Total GPU share consumed by a job's currently running tasks.
@@ -171,7 +95,7 @@ pub fn running_gpu_share(ctx: &SchedulerContext<'_>, job: cluster::JobId) -> f64
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use cluster::{ClusterConfig, JobId, ResourceVec, Topology};
+    use cluster::{Cluster, ClusterConfig, JobId, ResourceVec, Topology};
     use simcore::{SimDuration, SimTime};
     use workload::dag::{CommStructure, Dag};
     use workload::job::{JobSpec, StopPolicy, TaskSpec};
@@ -243,7 +167,7 @@ pub(crate) mod tests {
             queue: &[],
         };
         assert_eq!(
-            least_loaded_host(&c, &ctx, TaskId::new(JobId(1), 0), FULL),
+            least_loaded_host(&c, &ctx, TaskId::new(JobId(1), 0)),
             Some(ServerId(1))
         );
     }
@@ -267,7 +191,7 @@ pub(crate) mod tests {
             cluster: &c,
             queue: &queue,
         };
-        let (actions, plan) = place_in_order(&ctx, &queue, FULL);
+        let (actions, plan) = place_in_order(&ctx, &queue);
         let placed: Vec<TaskId> = actions
             .iter()
             .filter_map(|a| match a {

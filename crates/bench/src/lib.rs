@@ -32,12 +32,17 @@ impl Args {
         Self::parse_args(std::env::args().skip(1))
     }
 
-    /// Parse from an explicit iterator (testable).
-    pub fn parse_args(mut it: impl Iterator<Item = String>) -> Self {
+    /// Parse from an explicit iterator (testable). A flag followed by
+    /// another flag (or by nothing) is a presence flag with value
+    /// `"true"`.
+    pub fn parse_args(it: impl Iterator<Item = String>) -> Self {
+        let mut it = it.peekable();
         let mut flags = BTreeMap::new();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                let value = it.next().unwrap_or_else(|| "true".into());
+                let value = it
+                    .next_if(|v| !v.starts_with("--"))
+                    .unwrap_or_else(|| "true".into());
                 flags.insert(name.to_string(), value);
             }
         }
@@ -484,6 +489,18 @@ mod tests {
         assert!(a.has("full"));
         assert!(!a.has("json"));
         assert_eq!(a.u64("seed", 42), 42);
+    }
+
+    #[test]
+    fn presence_flag_does_not_swallow_the_next_flag() {
+        let a = Args::parse_args(
+            ["--smoke", "--out", "x", "--full"]
+                .iter()
+                .map(|s| s.to_string()),
+        );
+        assert_eq!(a.get("smoke"), Some("true"));
+        assert_eq!(a.get("out"), Some("x"));
+        assert_eq!(a.get("full"), Some("true"));
     }
 
     #[test]

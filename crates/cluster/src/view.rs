@@ -186,17 +186,24 @@ impl<'a> ClusterOverlay<'a> {
 
     /// Speculatively move a placed task to `dst` (keeping its demand).
     /// Transfer accounting is the real cluster's job; the overlay only
-    /// models state. A refused move (unknown or down destination)
-    /// leaves the task where it was.
+    /// models state. As in [`Cluster::migrate`], the destination is
+    /// validated before the source is touched, so a refused move
+    /// (unknown or down destination) leaves the task exactly where it
+    /// was, on the same GPU.
     pub fn migrate(&mut self, task: TaskId, dst: ServerId) -> Result<usize, PlaceError> {
+        if dst.0 as usize >= self.base.server_count() {
+            return Err(PlaceError::NoSuchServer);
+        }
+        if !self.server(dst).is_up() {
+            return Err(PlaceError::ServerDown);
+        }
         let (src, p) = self.remove(task).ok_or(PlaceError::NoSuchServer)?;
         match self.place(task, dst, p.demand, p.gpu_share) {
             Ok(gpu) => Ok(gpu),
             Err(e) => {
-                // The source slot was freed by the remove above, so
-                // the restore cannot be refused; the overlay is
-                // speculative, so even a refusal must surface as the
-                // original error rather than abort.
+                // The destination was validated above, so this arm is
+                // unreachable in practice; if it fires, put the task
+                // back on the source it just vacated.
                 let _ = self.place(task, src, p.demand, p.gpu_share);
                 Err(e)
             }
@@ -405,6 +412,8 @@ mod tests {
         );
         assert_eq!(v.locate(tid(1, 0)), Some(ServerId(0)));
         assert_eq!(v.server(ServerId(0)).task_count(), 1);
+        // The refusal never touched the source: nothing was copied.
+        assert_eq!(v.touched_count(), 0);
     }
 
     #[test]

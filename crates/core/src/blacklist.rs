@@ -14,7 +14,10 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-use cluster::{ClusterView, HealthState, ServerId};
+use crate::params::Params;
+use crate::placement::{select_host, select_host_filtered};
+use cluster::{ClusterView, HealthState, ServerId, TaskId};
+use workload::JobArena;
 
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 struct Entry {
@@ -105,6 +108,48 @@ impl ServerBlacklist {
         self.entries
             .values()
             .any(|e| e.down || self.round < e.banned_until)
+    }
+
+    /// Count `strikes` (the return of [`ServerBlacklist::observe`]) and
+    /// emit one `BlacklistStrike` event per struck server, at `now_mins`.
+    pub fn report_strikes(&self, strikes: u32, tracer: &obs::Tracer, now_mins: f64) {
+        if strikes == 0 {
+            return;
+        }
+        tracer.add(obs::Counter::BlacklistStrikes, u64::from(strikes));
+        for &(sid, total) in self.recent_strikes() {
+            obs::event!(
+                tracer,
+                BlacklistStrike {
+                    t: now_mins,
+                    server: sid.0,
+                    strikes: total,
+                }
+            );
+        }
+    }
+
+    /// [`select_host`] avoiding banned servers, falling back to the
+    /// unfiltered pick so bans never stall the queue. With no crash
+    /// history this is `select_host` exactly.
+    pub fn select_host<V: ClusterView>(
+        &self,
+        plan: &V,
+        jobs: &JobArena,
+        task: TaskId,
+        migration_from: Option<ServerId>,
+        p: &Params,
+    ) -> Option<ServerId> {
+        select_host_filtered(plan, jobs, task, migration_from, p, |sid| {
+            self.is_banned(sid)
+        })
+        .or_else(|| {
+            if self.any_banned() {
+                select_host(plan, jobs, task, migration_from, p)
+            } else {
+                None
+            }
+        })
     }
 }
 

@@ -11,6 +11,9 @@
 //!   and computation features (Eqs. 2–6);
 //! * [`placement`] — RIAL-style ideal-point host selection and
 //!   migration-victim selection (§3.3.2–3.3.3, method of \[47\]);
+//! * [`gang`] — the one gang-placement routine every scheduler uses:
+//!   job grouping, all-or-nothing gang commit and MLF-H's overload
+//!   round with a pluggable host choice;
 //! * [`mlfh`] — the heuristic scheduler MLF-H;
 //! * [`features`] — state featurisation for the RL policy (§3.4's
 //!   state description);
@@ -45,6 +48,7 @@
 pub mod blacklist;
 pub mod composite;
 pub mod features;
+pub mod gang;
 pub mod mlfc;
 pub mod mlfh;
 pub mod mlfrl;

@@ -11,28 +11,20 @@
 //! 3. **Placement** (§3.3.2): tasks are assigned one by one to the
 //!    server closest to the ideal virtual host, onto its least-loaded
 //!    GPU, until no underloaded server can host anything more.
-//!    Migration candidates that found no destination are evicted back
-//!    to the queue ("moved back to the queue").
+//!    Migration candidates that found no destination stay where they
+//!    are (a deviation, see DESIGN.md).
+//!
+//! The round itself is [`crate::gang::overload_round`], shared with
+//! MLF-RL; MLF-H supplies only the host choice.
 
 use crate::blacklist::ServerBlacklist;
+use crate::gang::overload_round;
 use crate::params::Params;
-use crate::placement::{migration_state_mb, select_host, select_host_filtered, select_victim};
-use crate::priority::{
-    job_task_priorities, job_task_priorities_into, PriorityMap, PriorityScratch,
-};
+use crate::priority::job_task_priorities;
 use crate::scheduler::{state_from_json, state_to_json, Action, Scheduler, SchedulerContext};
-use cluster::{ClusterOverlay, ClusterView, ServerId, TaskId};
+use cluster::{ServerId, TaskId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Where a schedulable task currently sits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Origin {
-    /// In the waiting queue.
-    Queue,
-    /// Running on this (overloaded) server, selected for migration.
-    Server(ServerId),
-}
 
 /// Evolving MLF-H state carried across a service restart
 /// (`Scheduler::export_state`): everything but the static `Params`.
@@ -94,255 +86,25 @@ impl MlfH {
         out
     }
 
-    /// Priorities for exactly the jobs a round can act on: those with
-    /// queued tasks plus those with tasks on a server in `overloaded`.
-    /// The round consumes priorities only to order queued tasks and to
-    /// pick migration victims on overloaded servers, so skipping every
-    /// other job is sound — and most rounds touch a small fraction of
-    /// the active jobs.
-    pub(crate) fn candidate_priorities(
-        ctx: &SchedulerContext<'_>,
-        params: &Params,
-        overloaded: &[ServerId],
-    ) -> PriorityMap {
-        // Sorted-dedup job list (replaces a BTreeSet: one Vec, no
-        // node churn) — iteration stays in ascending JobId order.
-        let mut needed: Vec<cluster::JobId> = ctx.queue.iter().map(|t| t.job).collect();
-        for &sid in overloaded {
-            for (t, _) in ctx.cluster.server(sid).tasks() {
-                needed.push(t.job);
-            }
-        }
-        needed.sort_unstable();
-        needed.dedup();
-        let mut out = PriorityMap::with_capacity(needed.len() * 4);
-        let mut scratch = PriorityScratch::default();
-        for jid in needed {
-            let Some(job) = ctx.jobs.get(&jid) else {
-                continue;
-            };
-            job_task_priorities_into(job, ctx.now, params, &mut scratch);
-            for (idx, &p) in scratch.out.iter().enumerate() {
-                out.push(TaskId::new(jid, idx as u16), p);
-            }
-        }
-        out
-    }
-
-    /// Core of the round: shared verbatim by MLF-RL's imitation phase.
-    /// Returns the actions plus the planning cluster used (so callers
-    /// can inspect the final speculative state).
+    /// One round: the shared overload round with the RIAL host choice
+    /// (steered off recently-crashed servers). MLF-RL's imitation
+    /// phase acts through it too.
     fn plan(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
-        let p = self.params;
-        let now_mins = ctx.now.as_mins_f64();
         // Cloning the Arc (when attached) keeps the span guard's
-        // borrow off `self`, which the loop below mutates.
+        // borrow off `self`, which the round below mutates.
         let tracer = self.tracer.clone();
         let _plan_span = tracer.as_ref().map(|t| obs::span!(t, mlfh_plan));
-        self.last_decisions.clear();
         let strikes = self.blacklist.observe(ctx.cluster);
         if let Some(t) = tracer.as_deref() {
-            if strikes > 0 {
-                t.add(obs::Counter::BlacklistStrikes, strikes as u64);
-                for &(sid, total) in self.blacklist.recent_strikes() {
-                    obs::event!(
-                        t,
-                        BlacklistStrike {
-                            t: now_mins,
-                            server: sid.0,
-                            strikes: total,
-                        }
-                    );
-                }
-            }
+            self.blacklist
+                .report_strikes(strikes, t, ctx.now.as_mins_f64());
         }
-        let bl = &self.blacklist;
-        // Host selection avoiding recently-crashed servers; falls back
-        // to the unfiltered pick so bans never stall the queue. With no
-        // crash history this is `select_host` exactly.
-        let pick = |plan: &ClusterOverlay<'_>, task: TaskId, from: Option<ServerId>| {
-            select_host_filtered(plan, ctx.jobs, task, from, &p, |sid| bl.is_banned(sid)).or_else(
-                || {
-                    if bl.any_banned() {
-                        select_host(plan, ctx.jobs, task, from, &p)
-                    } else {
-                        None
-                    }
-                },
-            )
-        };
-        let mut actions = Vec::new();
-        // Copy-on-write speculation: reads fall through to the live
-        // cluster, writes copy only the touched servers. Replaces the
-        // seed's full `Cluster::clone()` per round.
-        let mut plan = ClusterOverlay::new(ctx.cluster, p.h_r);
-        let overloaded = plan.overloaded_servers(p.h_r);
-        let priorities = Self::candidate_priorities(ctx, &p, &overloaded);
-
-        // -- 1. pick migration candidates off overloaded servers --
-        let mut candidates: Vec<(TaskId, f64, Origin)> = Vec::new();
-        if p.use_migration {
-            for sid in overloaded {
-                // Repeatedly remove victims until the server is clean.
-                while plan.server(sid).is_overloaded(p.h_r) {
-                    let Some(victim) = select_victim(&plan, ctx.jobs, sid, &priorities, &p) else {
-                        break;
-                    };
-                    plan.remove(victim);
-                    let prio = priorities.get(&victim).unwrap_or(0.0);
-                    candidates.push((victim, prio, Origin::Server(sid)));
-                }
-            }
-        }
-
-        // -- 2. queued tasks --
-        for &t in ctx.queue {
-            let prio = priorities.get(&t).unwrap_or(0.0);
-            candidates.push((t, prio, Origin::Queue));
-        }
-
-        // -- 3. place, job-gang with skip-over --
-        //
-        // Jobs rank by their highest-priority task (desc); within a
-        // job, tasks keep their Eq. 6 order. Migration victims are
-        // re-placed individually (they already run; failing to re-host
-        // evicts them, §3.3.3). A job's *waiting* tasks place
-        // atomically or not at all: DL workers are gang-scheduled, and
-        // partial placements would hold resources at a fraction of the
-        // progress. A gang that does not fit is skipped — smaller jobs
-        // behind it backfill, so no convoy forms.
-        let mut job_key: BTreeMap<cluster::JobId, f64> = BTreeMap::new();
-        for (t, prio, _) in &candidates {
-            let e = job_key.entry(t.job).or_insert(f64::NEG_INFINITY);
-            if *prio > *e {
-                *e = *prio;
-            }
-        }
-        let mut job_order: Vec<cluster::JobId> = job_key.keys().copied().collect();
-        let key_of = |j: &cluster::JobId| job_key.get(j).copied().unwrap_or(f64::NEG_INFINITY);
-        job_order.sort_by(|a, b| {
-            key_of(b)
-                .partial_cmp(&key_of(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.cmp(b))
+        let (p, bl) = (self.params, &self.blacklist);
+        let round = overload_round(ctx, &p, tracer.as_deref(), |plan, task, from| {
+            bl.select_host(plan, ctx.jobs, task, from, &p)
         });
-
-        let mut group: Vec<(TaskId, f64, Origin)> = Vec::new();
-        let mut waiting: Vec<TaskId> = Vec::new();
-        let mut placed: Vec<(TaskId, ServerId)> = Vec::new();
-        for jid in job_order {
-            group.clear();
-            group.extend(candidates.iter().filter(|(t, _, _)| t.job == jid).cloned());
-            group.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            let Some(job) = ctx.jobs.get(&jid) else {
-                continue;
-            };
-
-            // Migration victims: individual re-placement. When no
-            // underloaded server can host a victim, it stays where it
-            // is — under cluster-wide pressure, evicting a running
-            // task relieves nothing and stalls its whole job. (The
-            // paper re-queues such tasks; with time-varying
-            // utilization that turns transient overload into
-            // permanent thrash, so we deviate — see DESIGN.md.)
-            for (task, _, origin) in group.iter() {
-                let Origin::Server(src) = *origin else {
-                    continue;
-                };
-                let Some(spec) = job.spec.tasks.get(task.idx as usize) else {
-                    continue;
-                };
-                match pick(&plan, *task, Some(src)) {
-                    Some(host) if plan.place(*task, host, spec.demand, spec.gpu_share).is_ok() => {
-                        self.last_decisions.push((*task, host));
-                        if src != host {
-                            if let Some(t) = tracer.as_deref() {
-                                obs::event!(
-                                    t,
-                                    Migration {
-                                        t: now_mins,
-                                        job: task.job.0,
-                                        task: task.idx as u32,
-                                        from: src.0,
-                                        to: host.0,
-                                        state_mb: migration_state_mb(job, task.idx as usize),
-                                    }
-                                );
-                            }
-                            actions.push(Action::Migrate {
-                                task: *task,
-                                to: host,
-                            });
-                        }
-                    }
-                    _ => {
-                        // No destination (or the chosen host refused,
-                        // e.g. it went down this round): put the victim
-                        // back in the speculative plan. If even the
-                        // source refuses (it is draining), leave the
-                        // plan under-counting it — the task keeps
-                        // running live and no action is emitted.
-                        let _ = plan.place(*task, src, spec.demand, spec.gpu_share);
-                    }
-                }
-            }
-
-            // Waiting tasks: gang placement with rollback.
-            waiting.clear();
-            waiting.extend(
-                group
-                    .iter()
-                    .filter(|(_, _, o)| matches!(o, Origin::Queue))
-                    .map(|(t, _, _)| *t),
-            );
-            if waiting.is_empty() {
-                continue;
-            }
-            placed.clear();
-            let mut ok = true;
-            for &task in &waiting {
-                let Some(spec) = job.spec.tasks.get(task.idx as usize) else {
-                    ok = false;
-                    break;
-                };
-                match pick(&plan, task, None) {
-                    Some(host) if plan.place(task, host, spec.demand, spec.gpu_share).is_ok() => {
-                        placed.push((task, host));
-                    }
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                for &(task, host) in &placed {
-                    self.last_decisions.push((task, host));
-                    if let Some(t) = tracer.as_deref() {
-                        obs::event!(
-                            t,
-                            Placement {
-                                t: now_mins,
-                                job: task.job.0,
-                                task: task.idx as u32,
-                                server: host.0,
-                                score: priorities.get(&task).unwrap_or(0.0),
-                            }
-                        );
-                    }
-                    actions.push(Action::Place { task, server: host });
-                }
-            } else {
-                for &(task, _) in &placed {
-                    plan.remove(task);
-                }
-            }
-        }
-        actions
+        self.last_decisions = round.decisions;
+        round.actions
     }
 }
 

@@ -18,9 +18,9 @@
 
 use crate::blacklist::ServerBlacklist;
 use crate::features::{candidate_features_into, FEATURE_DIM};
+use crate::gang::overload_round;
 use crate::mlfh::{MlfH, MlfHState};
 use crate::params::Params;
-use crate::placement::{select_host, select_host_filtered, select_victim};
 use crate::scheduler::{
     state_from_json, state_to_json, Action, RewardComponents, Scheduler, SchedulerContext,
 };
@@ -509,269 +509,116 @@ impl MlfRl {
         actions
     }
 
-    /// RL round: the policy chooses destinations.
+    /// RL round: the shared overload round (the one MLF-H runs) with
+    /// the policy choosing every destination. A "queue" choice parks a
+    /// waiting task, and with it the task's whole gang, or leaves a
+    /// victim where it is (MLF-H's no-thrash rule).
     fn rl_round(&mut self, ctx: &SchedulerContext<'_>) -> Vec<Action> {
         let p = self.params;
-        let mut actions = Vec::new();
-        let mut plan = ClusterOverlay::new(ctx.cluster, p.h_r);
-        let overloaded = plan.overloaded_servers(p.h_r);
-        let priorities = MlfH::candidate_priorities(ctx, &p, &overloaded);
+        let tracer = self.tracer.clone();
+        overload_round(ctx, &p, tracer.as_deref(), |plan, task, from| {
+            self.decide(ctx, plan, task, from)
+        })
+        .actions
+    }
 
-        // Victims off overloaded servers (heuristic, as in MLF-H).
-        #[derive(Clone, Copy)]
-        enum Origin {
-            Queue,
-            Server(ServerId),
-        }
-        let mut work: Vec<(TaskId, f64, Origin)> = Vec::new();
-        if p.use_migration {
-            for sid in overloaded {
-                while plan.server(sid).is_overloaded(p.h_r) {
-                    let Some(victim) = select_victim(&plan, ctx.jobs, sid, &priorities, &p) else {
-                        break;
-                    };
-                    plan.remove(victim);
-                    let prio = priorities.get(&victim).unwrap_or(0.0);
-                    work.push((victim, prio, Origin::Server(sid)));
-                }
+    /// One policy decision for `task` on the speculative `plan`: the
+    /// chosen host, or `None` for the queue. The step joins `pending`
+    /// to be credited with the round's reward.
+    fn decide(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        plan: &ClusterOverlay<'_>,
+        task: TaskId,
+        migration_from: Option<ServerId>,
+    ) -> Option<ServerId> {
+        let p = self.params;
+        let job = ctx.jobs.get(&task.job)?;
+        let mut servers = std::mem::take(&mut self.scratch.servers);
+        let mut ranked = std::mem::take(&mut self.scratch.ranked);
+        Self::candidate_servers_into(
+            &self.params,
+            self.cfg.max_candidates,
+            plan,
+            ctx,
+            task,
+            &self.blacklist,
+            &mut ranked,
+            &mut servers,
+        );
+        self.scratch.ranked = ranked;
+        let rial = self
+            .blacklist
+            .select_host(plan, ctx.jobs, task, migration_from, &p);
+        // RIAL may prefer a loaded server (communication affinity)
+        // outside the least-loaded cap — offer it.
+        if let Some(r) = rial {
+            if !servers.contains(&r) {
+                servers.push(r);
             }
         }
-        for &t in ctx.queue {
-            work.push((t, priorities.get(&t).unwrap_or(0.0), Origin::Queue));
+        let mut feats = self.take_batch();
+        for &s in &servers {
+            candidate_features_into(
+                plan,
+                job,
+                task,
+                Some(s),
+                rial == Some(s),
+                ctx.now,
+                &p,
+                &mut feats,
+            );
         }
-        // Job-gang processing, mirroring MLF-H (see mlfh.rs): jobs by
-        // max task priority; victims re-placed individually; waiting
-        // tasks gang (the policy parking any task parks the job).
-        //
-        // One global sort by (job, priority desc, task) replaces the
-        // former per-job filter-and-sort passes (O(jobs × work) scans
-        // plus a BTreeMap of per-job maxima). Within each job run the
-        // order matches the old per-job sort exactly, and the run head
-        // carries the job's maximum priority — so ordering runs by
-        // (head priority desc, job asc) reproduces the old job order,
-        // decision for decision.
-        work.sort_by(|a, b| {
-            a.0.job
-                .cmp(&b.0.job)
-                .then_with(|| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        let mut start = 0;
-        for i in 1..=work.len() {
-            let boundary = match (work.get(i), work.get(start)) {
-                (Some(a), Some(b)) => a.0.job != b.0.job,
-                _ => true,
-            };
-            if boundary {
-                runs.push((start, i));
-                start = i;
-            }
-        }
-        // Run heads carry each job's max priority; missing indices
-        // (impossible — runs index into `work`) sink to the end.
-        let head = |r: &(usize, usize)| {
-            work.get(r.0)
-                .map(|w| (w.1, w.0.job))
-                .unwrap_or((f64::NEG_INFINITY, cluster::JobId(u32::MAX)))
+        candidate_features_into(
+            plan,
+            job,
+            task,
+            None,
+            rial.is_none(),
+            ctx.now,
+            &p,
+            &mut feats,
+        );
+        let choice = if self.cfg.explore {
+            self.trainer.policy.sample(&feats, &mut self.rng)
+        } else {
+            self.trainer.policy.greedy(&feats)
         };
-        runs.sort_by(|a, b| {
-            let (pa, ja) = head(a);
-            let (pb, jb) = head(b);
-            pb.partial_cmp(&pa)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| ja.cmp(&jb))
-        });
-
-        for &(lo, hi) in &runs {
-            let Some(group) = work.get(lo..hi) else {
-                continue;
-            };
-            let Some(jid) = group.first().map(|g| g.0.job) else {
-                continue;
-            };
-            let Some(job) = ctx.jobs.get(&jid) else {
-                continue;
-            };
-
-            // One policy decision for `task`; returns the chosen host.
-            let decide = |this: &mut Self,
-                          plan: &ClusterOverlay<'_>,
-                          task: TaskId,
-                          migration_from: Option<ServerId>|
-             -> Option<ServerId> {
-                let mut servers = std::mem::take(&mut this.scratch.servers);
-                let mut ranked = std::mem::take(&mut this.scratch.ranked);
-                Self::candidate_servers_into(
-                    &this.params,
-                    this.cfg.max_candidates,
-                    plan,
-                    ctx,
-                    task,
-                    &this.blacklist,
-                    &mut ranked,
-                    &mut servers,
-                );
-                this.scratch.ranked = ranked;
-                let bl = &this.blacklist;
-                let rial = select_host_filtered(plan, ctx.jobs, task, migration_from, &p, |sid| {
-                    bl.is_banned(sid)
-                })
-                .or_else(|| {
-                    if bl.any_banned() {
-                        select_host(plan, ctx.jobs, task, migration_from, &p)
-                    } else {
-                        None
-                    }
-                });
-                // RIAL may prefer a loaded server (communication
-                // affinity) outside the least-loaded cap — offer it.
-                if let Some(r) = rial {
-                    if !servers.contains(&r) {
-                        servers.push(r);
-                    }
+        let host = servers.get(choice).copied();
+        if let Some(t) = self.tracer.as_deref() {
+            t.add(obs::Counter::CandidatesScored, feats.rows() as u64);
+            obs::event!(
+                t,
+                PolicyDecision {
+                    t: ctx.now.as_mins_f64(),
+                    job: task.job.0,
+                    task: task.idx as u32,
+                    candidates: feats.rows() as u32,
+                    chosen: choice as u32,
+                    queued: host.is_none(),
                 }
-                let mut feats = this.take_batch();
-                for &s in &servers {
-                    candidate_features_into(
-                        plan,
-                        job,
-                        task,
-                        Some(s),
-                        rial == Some(s),
-                        ctx.now,
-                        &p,
-                        &mut feats,
-                    );
-                }
-                candidate_features_into(
-                    plan,
-                    job,
-                    task,
-                    None,
-                    rial.is_none(),
-                    ctx.now,
-                    &p,
-                    &mut feats,
-                );
-                let choice = if this.cfg.explore {
-                    this.trainer.policy.sample(&feats, &mut this.rng)
-                } else {
-                    this.trainer.policy.greedy(&feats)
-                };
-                let host = servers.get(choice).copied();
-                if let Some(t) = this.tracer.as_deref() {
-                    t.add(obs::Counter::CandidatesScored, feats.rows() as u64);
-                    obs::event!(
-                        t,
-                        PolicyDecision {
-                            t: ctx.now.as_mins_f64(),
-                            job: task.job.0,
-                            task: task.idx as u32,
-                            candidates: feats.rows() as u32,
-                            chosen: choice as u32,
-                            queued: host.is_none(),
-                        }
-                    );
-                    let round = this.rounds as u64;
-                    t.emit(|| obs::TraceEvent::DecisionExample {
-                        round,
-                        t: ctx.now.as_mins_f64(),
-                        job: task.job.0,
-                        task: task.idx as u32,
-                        src: "rl",
-                        action: choice as u32,
-                        dim: feats.dim() as u32,
-                        rows: feats.rows() as u32,
-                        feats: rl::encode_feats(&feats),
-                    });
-                }
-                servers.clear();
-                this.scratch.servers = servers;
-                this.pending.push(Step {
-                    candidates: feats,
-                    action: choice,
-                });
-                host
-            };
-
-            // Victims first. A "queue" decision for a victim leaves it
-            // where it is (matching MLF-H's no-thrash rule).
-            for (task, _, origin) in group.iter() {
-                let Origin::Server(src) = *origin else {
-                    continue;
-                };
-                let Some(spec) = job.spec.tasks.get(task.idx as usize) else {
-                    continue;
-                };
-                match decide(self, &plan, *task, Some(src)) {
-                    Some(host) if plan.place(*task, host, spec.demand, spec.gpu_share).is_ok() => {
-                        if src != host {
-                            actions.push(Action::Migrate {
-                                task: *task,
-                                to: host,
-                            });
-                        }
-                    }
-                    _ => {
-                        // No destination (or the chosen host refused):
-                        // put the victim back; if even the source
-                        // refuses (it is draining), the plan just
-                        // under-counts it and no action is emitted.
-                        let _ = plan.place(*task, src, spec.demand, spec.gpu_share);
-                    }
-                }
-            }
-
-            // Waiting tasks: gang with rollback.
-            let waiting: Vec<TaskId> = group
-                .iter()
-                .filter(|(_, _, o)| matches!(o, Origin::Queue))
-                .map(|(t, _, _)| *t)
-                .collect();
-            if waiting.is_empty() {
-                continue;
-            }
-            let mut placed: Vec<(TaskId, ServerId)> = Vec::new();
-            let mut ok = true;
-            for &task in &waiting {
-                let Some(spec) = job.spec.tasks.get(task.idx as usize) else {
-                    ok = false;
-                    break;
-                };
-                match decide(self, &plan, task, None) {
-                    Some(host) if plan.place(task, host, spec.demand, spec.gpu_share).is_ok() => {
-                        placed.push((task, host));
-                    }
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                for (task, host) in placed {
-                    if let Some(t) = self.tracer.as_deref() {
-                        obs::event!(
-                            t,
-                            Placement {
-                                t: ctx.now.as_mins_f64(),
-                                job: task.job.0,
-                                task: task.idx as u32,
-                                server: host.0,
-                                score: priorities.get(&task).unwrap_or(0.0),
-                            }
-                        );
-                    }
-                    actions.push(Action::Place { task, server: host });
-                }
-            } else {
-                for (task, _) in placed {
-                    plan.remove(task);
-                }
-            }
+            );
+            let round = self.rounds as u64;
+            t.emit(|| obs::TraceEvent::DecisionExample {
+                round,
+                t: ctx.now.as_mins_f64(),
+                job: task.job.0,
+                task: task.idx as u32,
+                src: "rl",
+                action: choice as u32,
+                dim: feats.dim() as u32,
+                rows: feats.rows() as u32,
+                feats: rl::encode_feats(&feats),
+            });
         }
-        actions
+        servers.clear();
+        self.scratch.servers = servers;
+        self.pending.push(Step {
+            candidates: feats,
+            action: choice,
+        });
+        host
     }
 }
 
@@ -789,19 +636,8 @@ impl Scheduler for MlfRl {
         // blacklist observes the same cluster and reports the same
         // strikes — skip ours there to avoid double-counting.
         if let Some(t) = tracer.as_deref().filter(|_| !self.in_imitation_phase()) {
-            if strikes > 0 {
-                t.add(obs::Counter::BlacklistStrikes, strikes as u64);
-                for &(sid, total) in self.blacklist.recent_strikes() {
-                    obs::event!(
-                        t,
-                        BlacklistStrike {
-                            t: ctx.now.as_mins_f64(),
-                            server: sid.0,
-                            strikes: total,
-                        }
-                    );
-                }
-            }
+            self.blacklist
+                .report_strikes(strikes, t, ctx.now.as_mins_f64());
         }
         let actions = if self.in_imitation_phase() {
             let _span = tracer.as_ref().map(|t| obs::span!(t, imitation_round));

@@ -18,12 +18,9 @@
 //! *tier* policies (see [`policy`]). Findings are reported as
 //! rustc-style `file:line:col` diagnostics with stable rule IDs, can
 //! be suppressed line-by-line with an audited
-//! `// lint:allow(<rule>) reason="..."` comment, and are compared
-//! against a committed baseline (`lint-baseline.toml`) so pre-existing
-//! findings can be burned down incrementally while new ones fail CI
-//! immediately.
+//! `// lint:allow(<rule>) reason="..."` comment. Any finding fails the
+//! run: there is no baseline of accepted findings.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod deep;
 pub mod parse;
@@ -33,7 +30,6 @@ pub mod rules;
 pub mod tokenizer;
 pub mod workspace;
 
-pub use baseline::Baseline;
 pub use deep::{analyze, DeepReport};
 pub use parse::{parse_file, ParsedFile};
 pub use policy::{FilePolicy, Tier};

@@ -2,29 +2,21 @@
 //!
 //! ```text
 //! cargo run -p mlfs-lint --release [-- [--json] [--deep] [--root DIR]
-//!     [--baseline FILE] [--write-baseline] [--strict] [--budget-ms N]]
+//!     [--budget-ms N]]
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = violations (new findings, a re-grown or
-//! stale baseline, or a blown `--budget-ms`), 2 = usage or I/O error.
-//!
-//! The baseline is **retired**: it was burned down to zero and the
-//! ratchet is now strict. Any attempt to re-grow `lint-baseline.toml`
-//! (a non-empty file) fails the run — fix the finding or argue a
-//! `lint:allow` instead.
+//! Exit codes: 0 = clean, 1 = violations (any finding, or a blown
+//! `--budget-ms`), 2 = usage or I/O error. There is no baseline: fix a
+//! finding or argue a `lint:allow` at its line.
 
-use mlfs_lint::{render_json, render_text, scan_workspace_deep, Baseline};
+use mlfs_lint::{render_json, render_text, scan_workspace_deep};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 struct Opts {
     root: PathBuf,
-    baseline_path: PathBuf,
     json: bool,
-    write_baseline: bool,
-    /// Ignore the baseline entirely: report every finding.
-    strict: bool,
     /// Run the interprocedural passes too.
     deep: bool,
     /// Fail if the scan takes longer than this many milliseconds.
@@ -32,16 +24,12 @@ struct Opts {
 }
 
 fn usage() -> &'static str {
-    "usage: mlfs-lint [--json] [--deep] [--root DIR] [--baseline FILE] \
-     [--write-baseline] [--strict] [--budget-ms N]\n\
+    "usage: mlfs-lint [--json] [--deep] [--root DIR] [--budget-ms N]\n\
      \n\
      --json            emit the machine-readable report on stdout\n\
      --deep            also run the interprocedural passes (determinism\n\
                        taint, panic reachability, FP-reduction hazards)\n\
      --root DIR        workspace root (default: auto-detected)\n\
-     --baseline FILE   baseline file (default: <root>/lint-baseline.toml)\n\
-     --write-baseline  accept all current findings into the baseline\n\
-     --strict          ignore the baseline; report every finding\n\
      --budget-ms N     fail (exit 1) if the scan exceeds N milliseconds"
 }
 
@@ -54,10 +42,7 @@ fn parse_opts() -> Result<Opts, String> {
         .unwrap_or_else(|_| PathBuf::from("."));
     let mut opts = Opts {
         root: default_root,
-        baseline_path: PathBuf::new(),
         json: false,
-        write_baseline: false,
-        strict: false,
         deep: false,
         budget_ms: None,
     };
@@ -65,8 +50,6 @@ fn parse_opts() -> Result<Opts, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => opts.json = true,
-            "--write-baseline" => opts.write_baseline = true,
-            "--strict" => opts.strict = true,
             "--deep" => opts.deep = true,
             "--budget-ms" => {
                 let v = args.next().ok_or("--budget-ms needs a value")?;
@@ -75,15 +58,9 @@ fn parse_opts() -> Result<Opts, String> {
             "--root" => {
                 opts.root = PathBuf::from(args.next().ok_or("--root needs a value")?);
             }
-            "--baseline" => {
-                opts.baseline_path = PathBuf::from(args.next().ok_or("--baseline needs a value")?);
-            }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown argument `{other}`\n{}", usage())),
         }
-    }
-    if opts.baseline_path.as_os_str().is_empty() {
-        opts.baseline_path = opts.root.join("lint-baseline.toml");
     }
     Ok(opts)
 }
@@ -91,32 +68,8 @@ fn parse_opts() -> Result<Opts, String> {
 fn run() -> Result<bool, String> {
     let opts = parse_opts()?;
     let started = Instant::now();
-
-    let baseline = if opts.strict || opts.write_baseline {
-        Baseline::empty()
-    } else if opts.baseline_path.exists() {
-        let text = std::fs::read_to_string(&opts.baseline_path)
-            .map_err(|e| format!("reading {}: {e}", opts.baseline_path.display()))?;
-        Baseline::parse(&text).map_err(|e| format!("{}: {e}", opts.baseline_path.display()))?
-    } else {
-        Baseline::empty()
-    };
-
-    let report = scan_workspace_deep(&opts.root, &baseline, opts.deep)
+    let report = scan_workspace_deep(&opts.root, opts.deep)
         .map_err(|e| format!("scanning {}: {e}", opts.root.display()))?;
-
-    if opts.write_baseline {
-        let b = Baseline::from_findings(&report.findings);
-        std::fs::write(&opts.baseline_path, b.render())
-            .map_err(|e| format!("writing {}: {e}", opts.baseline_path.display()))?;
-        eprintln!(
-            "mlfs-lint: wrote {} entries ({} findings) to {}",
-            b.counts.len(),
-            report.findings.len(),
-            opts.baseline_path.display()
-        );
-        return Ok(true);
-    }
 
     if opts.json {
         print!("{}", render_json(&report));
@@ -124,26 +77,7 @@ fn run() -> Result<bool, String> {
         print!("{}", render_text(&report));
     }
 
-    // Strict ratchet: the baseline was burned down to zero, so any
-    // committed entry (re-growth) or stale entry fails the run.
     let mut ok = report.is_clean();
-    if !opts.strict && !baseline.counts.is_empty() {
-        eprintln!(
-            "mlfs-lint: error: the baseline is retired — {} has {} entr(y/ies); \
-             fix the findings or use an argued lint:allow instead of re-growing it",
-            opts.baseline_path.display(),
-            baseline.counts.len()
-        );
-        ok = false;
-    }
-    if !report.stale.is_empty() {
-        eprintln!(
-            "mlfs-lint: error: {} stale baseline entr(y/ies) — regenerate with \
-             --write-baseline",
-            report.stale.len()
-        );
-        ok = false;
-    }
     let elapsed = started.elapsed();
     eprintln!(
         "mlfs-lint: scanned {} files in {:.0?}",

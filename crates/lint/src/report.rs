@@ -6,30 +6,14 @@ use crate::rules::Finding;
 use crate::workspace::WorkspaceReport;
 use std::fmt::Write as _;
 
-/// Render the human-readable report (new findings + summary).
+/// Render the human-readable report (findings + summary).
 pub fn render_text(report: &WorkspaceReport) -> String {
     let mut out = String::new();
-    for f in &report.new_findings {
+    for f in &report.findings {
         let _ = writeln!(
             out,
             "error[{}]: {}\n  --> {}:{}:{}",
             f.rule, f.message, f.file, f.line, f.col
-        );
-    }
-    for (key, allowed, found) in &report.exceeded {
-        if *allowed > 0 {
-            let _ = writeln!(
-                out,
-                "note: `{key}` exceeds its baseline ({found} found, {allowed} \
-                 accepted) — all {found} occurrences are shown above"
-            );
-        }
-    }
-    for (key, allowed, found) in &report.stale {
-        let _ = writeln!(
-            out,
-            "note: baseline entry `{key}` is stale ({allowed} accepted, only \
-             {found} remain) — regenerate with --write-baseline to ratchet down"
         );
     }
     for (file, line, rules) in &report.stats.allows_unused {
@@ -42,11 +26,10 @@ pub fn render_text(report: &WorkspaceReport) -> String {
     let allows_fired: usize = report.stats.allows_used.values().sum();
     let _ = writeln!(
         out,
-        "mlfs-lint: {} files scanned, {} new finding(s), {} baselined, \
+        "mlfs-lint: {} files scanned, {} finding(s), \
          {} lint:allow annotation(s) ({} fired)",
         report.files_scanned,
-        report.new_findings.len(),
-        report.baselined,
+        report.findings.len(),
         report.stats.allows_total,
         allows_fired,
     );
@@ -63,7 +46,7 @@ pub fn render_text(report: &WorkspaceReport) -> String {
         );
     }
     if report.is_clean() {
-        let _ = writeln!(out, "mlfs-lint: clean (no violations above baseline)");
+        let _ = writeln!(out, "mlfs-lint: clean (no findings)");
     }
     out
 }
@@ -73,23 +56,10 @@ pub fn render_json(report: &WorkspaceReport) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
     let _ = writeln!(out, "  \"clean\": {},", report.is_clean());
-    let _ = writeln!(out, "  \"baselined\": {},", report.baselined);
 
-    out.push_str("  \"new_findings\": [\n");
-    push_findings(&mut out, &report.new_findings);
-    out.push_str("  ],\n");
-
-    out.push_str("  \"all_findings\": [\n");
+    out.push_str("  \"findings\": [\n");
     push_findings(&mut out, &report.findings);
     out.push_str("  ],\n");
-
-    out.push_str("  \"exceeded\": [");
-    push_triples(&mut out, &report.exceeded);
-    out.push_str("],\n");
-
-    out.push_str("  \"stale_baseline\": [");
-    push_triples(&mut out, &report.stale);
-    out.push_str("],\n");
 
     out.push_str("  \"allows\": {\n");
     let _ = writeln!(out, "    \"total\": {},", report.stats.allows_total);
@@ -184,19 +154,6 @@ fn push_findings(out: &mut String, findings: &[Finding]) {
     }
 }
 
-fn push_triples(out: &mut String, triples: &[(String, usize, usize)]) {
-    for (i, (key, allowed, found)) in triples.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"key\": {}, \"accepted\": {allowed}, \"found\": {found}}}",
-            json_str(key)
-        );
-    }
-}
-
 /// Minimal JSON string escaping (quotes, backslash, control chars).
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -232,6 +189,23 @@ mod tests {
         let report = WorkspaceReport::default();
         let json = render_json(&report);
         assert!(json.contains("\"clean\": true"));
-        assert!(json.contains("\"new_findings\": [\n  ]"));
+        assert!(json.contains("\"findings\": [\n  ]"));
+    }
+
+    #[test]
+    fn any_finding_fails_the_run() {
+        let report = WorkspaceReport {
+            findings: vec![Finding {
+                file: "crates/core/src/lib.rs".to_string(),
+                line: 3,
+                col: 7,
+                rule: "panic-unwrap",
+                message: "unwrap".to_string(),
+            }],
+            ..WorkspaceReport::default()
+        };
+        assert!(!report.is_clean());
+        assert!(render_text(&report).contains("error[panic-unwrap]"));
+        assert!(render_json(&report).contains("\"clean\": false"));
     }
 }

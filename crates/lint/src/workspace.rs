@@ -1,12 +1,10 @@
-//! Workspace traversal: find every `.rs` file and `Cargo.toml`, apply
-//! the per-file tier policy, and reconcile findings with the baseline.
+//! Workspace traversal: find every `.rs` file and `Cargo.toml` and
+//! apply the per-file tier policy. Any finding fails the run.
 
-use crate::baseline::{baseline_key, Baseline};
 use crate::deep::{analyze, DeepDetail};
 use crate::parse::parse_file;
 use crate::policy::{policy_for, FilePolicy};
 use crate::rules::{scan_source, Finding, ScanStats};
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -18,18 +16,8 @@ const SKIP_DIRS: &[&str] = &[".git", "target", "results", "node_modules"];
 #[derive(Debug, Default)]
 pub struct WorkspaceReport {
     pub files_scanned: usize,
-    /// Every finding after `lint:allow` suppression, before baseline.
+    /// Every finding after `lint:allow` suppression; any fails the run.
     pub findings: Vec<Finding>,
-    /// Findings in `(file, rule)` groups whose count exceeds the
-    /// baseline — these fail the run.
-    pub new_findings: Vec<Finding>,
-    /// `(key, allowed, found)` for groups over their baseline count.
-    pub exceeded: Vec<(String, usize, usize)>,
-    /// `(key, allowed, found)` for baseline entries that are now
-    /// larger than reality — the baseline should be regenerated.
-    pub stale: Vec<(String, usize, usize)>,
-    /// Findings suppressed because their group is within baseline.
-    pub baselined: usize,
     /// Merged `lint:allow` escape-hatch statistics.
     pub stats: ScanStats,
     /// Present when the scan ran in `--deep` mode.
@@ -37,8 +25,7 @@ pub struct WorkspaceReport {
 }
 
 /// Interprocedural-pass summary attached to a deep scan. Deep findings
-/// also flow into [`WorkspaceReport::findings`] (and through the same
-/// baseline reconciliation as local findings); this keeps the witness
+/// also flow into [`WorkspaceReport::findings`]; this keeps the witness
 /// details for the JSON report.
 #[derive(Debug, Default)]
 pub struct DeepSummary {
@@ -52,26 +39,21 @@ pub struct DeepSummary {
 }
 
 impl WorkspaceReport {
-    /// True when nothing exceeds the baseline (exit code 0).
+    /// True when there are no findings (exit code 0).
     pub fn is_clean(&self) -> bool {
-        self.new_findings.is_empty()
+        self.findings.is_empty()
     }
 }
 
-/// Scan the workspace rooted at `root` and reconcile with `baseline`.
-pub fn scan_workspace(root: &Path, baseline: &Baseline) -> io::Result<WorkspaceReport> {
-    scan_workspace_deep(root, baseline, false)
+/// Scan the workspace rooted at `root`.
+pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceReport> {
+    scan_workspace_deep(root, false)
 }
 
 /// Like [`scan_workspace`], optionally running the interprocedural
 /// `--deep` passes ([`crate::deep`]) over tier-crate library code.
-/// Deep findings are reconciled against the baseline exactly like
-/// local findings.
-pub fn scan_workspace_deep(
-    root: &Path,
-    baseline: &Baseline,
-    deep: bool,
-) -> io::Result<WorkspaceReport> {
+/// Deep findings count exactly like local findings.
+pub fn scan_workspace_deep(root: &Path, deep: bool) -> io::Result<WorkspaceReport> {
     let mut files = Vec::new();
     collect_files(root, root, &mut files)?;
     files.sort(); // deterministic report order regardless of readdir order
@@ -128,35 +110,6 @@ pub fn scan_workspace_deep(
         });
     }
 
-    // Group by (file, rule) and compare counts against the baseline.
-    let mut groups: BTreeMap<String, Vec<&Finding>> = BTreeMap::new();
-    for f in &report.findings {
-        groups
-            .entry(baseline_key(&f.file, f.rule))
-            .or_default()
-            .push(f);
-    }
-    let mut new_findings = Vec::new();
-    for (key, fs) in &groups {
-        let allowed = baseline.counts.get(key).copied().unwrap_or(0);
-        if fs.len() > allowed {
-            report.exceeded.push((key.clone(), allowed, fs.len()));
-            new_findings.extend(fs.iter().map(|f| (*f).clone()));
-        } else {
-            report.baselined += fs.len();
-            if fs.len() < allowed {
-                report.stale.push((key.clone(), allowed, fs.len()));
-            }
-        }
-    }
-    // Baseline entries whose findings vanished entirely are also stale.
-    for (key, &allowed) in &baseline.counts {
-        if allowed > 0 && !groups.contains_key(key) {
-            report.stale.push((key.clone(), allowed, 0));
-        }
-    }
-    report.stale.sort();
-    report.new_findings = new_findings;
     Ok(report)
 }
 

@@ -1,8 +1,8 @@
 //! The linter applied to its own workspace: the committed tree must be
-//! deep-clean against a **retired** (empty) `lint-baseline.toml`, and
-//! both the scan and the interprocedural passes must be deterministic.
+//! deep-clean (any finding fails; there is no baseline), and both the
+//! scan and the interprocedural passes must be deterministic.
 
-use mlfs_lint::{render_json, scan_workspace, scan_workspace_deep, Baseline};
+use mlfs_lint::{render_json, scan_workspace, scan_workspace_deep};
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
@@ -10,28 +10,15 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_deep_clean_and_baseline_is_retired() {
+fn workspace_is_deep_clean() {
     let root = workspace_root();
-    let baseline_path = root.join("lint-baseline.toml");
-    let text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("reading {}: {e}", baseline_path.display()));
-    let baseline = Baseline::parse(&text).expect("committed baseline parses");
-    // The ratchet is strict as of PR 9: the baseline stays empty.
-    assert!(
-        baseline.counts.is_empty(),
-        "lint-baseline.toml must stay empty — fix findings or use an \
-         argued lint:allow, do not re-grow the baseline: {:?}",
-        baseline.counts
-    );
-
-    let report = scan_workspace_deep(&root, &baseline, true).expect("workspace scans");
+    let report = scan_workspace_deep(&root, true).expect("workspace scans");
     assert!(report.files_scanned > 100, "walker found the workspace");
     assert!(
         report.is_clean(),
         "workspace has findings:\n{}",
         mlfs_lint::render_text(&report)
     );
-    assert!(report.stale.is_empty(), "stale entries: {:?}", report.stale);
     // Every lint:allow annotation in the tree must still suppress
     // something — locally or in a deep pass; the escape hatch is
     // audited, not decorative.
@@ -57,8 +44,8 @@ fn workspace_is_deep_clean_and_baseline_is_retired() {
 #[test]
 fn scan_is_deterministic() {
     let root = workspace_root();
-    let a = scan_workspace(&root, &Baseline::empty()).expect("scan");
-    let b = scan_workspace(&root, &Baseline::empty()).expect("scan");
+    let a = scan_workspace(&root).expect("scan");
+    let b = scan_workspace(&root).expect("scan");
     assert_eq!(a.findings, b.findings);
     assert_eq!(a.files_scanned, b.files_scanned);
 }
@@ -70,15 +57,15 @@ fn scan_is_deterministic() {
 #[test]
 fn deep_scan_json_is_byte_identical_across_runs() {
     let root = workspace_root();
-    let a = scan_workspace_deep(&root, &Baseline::empty(), true).expect("scan");
-    let b = scan_workspace_deep(&root, &Baseline::empty(), true).expect("scan");
+    let a = scan_workspace_deep(&root, true).expect("scan");
+    let b = scan_workspace_deep(&root, true).expect("scan");
     assert_eq!(render_json(&a), render_json(&b));
 }
 
 #[test]
 fn deterministic_tier_has_no_determinism_findings() {
     let root = workspace_root();
-    let report = scan_workspace(&root, &Baseline::empty()).expect("scan");
+    let report = scan_workspace(&root).expect("scan");
     let det: Vec<_> = report
         .findings
         .iter()

@@ -141,12 +141,14 @@ pub fn recover(
 /// Tick the engine forward to the record's round, then re-inject.
 fn replay_one(svc: &mut Service, rec: &WalRecord) -> Result<(), DurabilityError> {
     while svc.rounds() < rec.round {
+        let before = svc.rounds();
         match svc.tick() {
-            StepOutcome::Continue => {}
-            // The live run ticked past this point, so replaying the
-            // same prefix cannot drain earlier — hitting this means
-            // the log does not match the engine config.
-            StepOutcome::Drained | StepOutcome::Horizon => {
+            // A draining tick still runs its round: the live run
+            // drained here too, and its client submitted this record
+            // next. Only a tick that ran no round, or the horizon,
+            // means the log does not match the engine config.
+            StepOutcome::Continue | StepOutcome::Drained if svc.rounds() > before => {}
+            _ => {
                 return Err(DurabilityError::WalGap {
                     expected: rec.seq,
                     found: rec.seq,

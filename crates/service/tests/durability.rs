@@ -510,3 +510,94 @@ fn build_on_an_existing_dir_starts_fresh() {
     assert!(scan.records.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Submit what is due before the next tick. A service without work
+/// never advances its clock, so when it has none the next arrival is
+/// submitted at once. Returns false when every job has finished.
+fn feed(svc: &mut Service, specs: &[workload::JobSpec], cursor: &mut usize) -> bool {
+    loop {
+        let due = |s: &workload::JobSpec, until| s.arrival <= until;
+        while let Some(spec) = specs.get(*cursor).filter(|s| due(s, svc.now())) {
+            assert!(svc.submit(spec.clone()).accepted());
+            *cursor += 1;
+        }
+        if svc.has_work() {
+            return true;
+        }
+        let Some(next) = specs.get(*cursor).map(|s| s.arrival) else {
+            return false;
+        };
+        while let Some(spec) = specs.get(*cursor).filter(|s| due(s, next)) {
+            assert!(svc.submit(spec.clone()).accepted());
+            *cursor += 1;
+        }
+    }
+}
+
+/// Feed and tick `svc` until every job has finished or, with
+/// `stop_after`, the engine has run that many rounds. Returns the
+/// rounds at which a tick reported `Drained`.
+fn drive(
+    svc: &mut Service,
+    specs: &[workload::JobSpec],
+    cursor: &mut usize,
+    stop_after: Option<u64>,
+) -> Vec<u64> {
+    let mut drains = Vec::new();
+    while stop_after.is_none_or(|r| svc.rounds() < r) && feed(svc, specs, cursor) {
+        match svc.tick() {
+            StepOutcome::Continue => {}
+            StepOutcome::Drained => drains.push(svc.rounds()),
+            StepOutcome::Horizon => break,
+        }
+    }
+    drains
+}
+
+/// A client that submits its next job as soon as the service drains
+/// writes a WAL record for the round of the draining tick. Replaying
+/// that log must tick through the drain, as the live run did.
+#[test]
+fn wal_replay_crosses_a_drain() {
+    let e = fig4(1.0, 8.0, 2);
+    let specs = e.jobs();
+    let dir = tmpdir("replay-drain");
+    let dcfg = DurabilityConfig::new(&dir);
+    let crash_after = 205;
+
+    let mut svc = Service::new(e.sim.clone(), mlfh(&e), None);
+    drive(&mut svc, &specs, &mut 0, None);
+    let mut m = svc.finish();
+    m.clear_wall_clock();
+    let reference = serde_json::to_string(&m).expect("metrics json");
+
+    let mut svc = Service::builder(e.sim.clone())
+        .durability(dcfg.clone())
+        .build(mlfh(&e))
+        .expect("fresh durable service");
+    let mut cursor = 0;
+    let drains = drive(&mut svc, &specs, &mut cursor, Some(crash_after));
+    assert_eq!(svc.durability_error(), None);
+    // The last snapshot before the crash precedes the drain, so the
+    // replay has to cross it.
+    let snapshot_round = crash_after / dcfg.snapshot_every_rounds * dcfg.snapshot_every_rounds;
+    assert!(
+        drains.iter().any(|&r| r > snapshot_round),
+        "no drain to replay across: {drains:?}"
+    );
+    drop(svc); // the crash
+
+    let (mut svc, report) = Service::builder(e.sim.clone())
+        .durability(dcfg)
+        .recover(mlfh(&e))
+        .expect("a log written across a drain replays");
+    assert_eq!(report.snapshot_round, Some(snapshot_round));
+    assert!(report.wal_records_replayed > 0);
+    let mut cursor = usize::try_from(report.resumed_accepted).expect("fits");
+    drive(&mut svc, &specs, &mut cursor, None);
+    let mut m = svc.finish();
+    m.clear_wall_clock();
+    let recovered = serde_json::to_string(&m).expect("metrics json");
+    assert_eq!(reference, recovered, "recovered run diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}

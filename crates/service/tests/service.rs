@@ -237,6 +237,65 @@ fn snapshot_restore_is_bit_identical_mid_run() {
     );
 }
 
+/// A snapshot is taken between rounds, when `now` is already the next
+/// round's time and `last` the previous one's; the next tick advances
+/// over `(last, now]`. A deadline inside that window that has not been
+/// frozen yet must still be frozen after a restore.
+#[test]
+fn restore_keeps_a_deadline_due_in_the_next_tick() {
+    let e = small_fig4(8);
+    let mut specs = e.jobs();
+    // Job 0's deadline falls between two rounds, long before the job
+    // can finish, so the freeze that records its accuracy by the
+    // deadline happens in the middle of the run.
+    let watched = specs[0].id;
+    specs[0].deadline = specs[0].arrival + simcore::SimDuration::from_secs(90);
+    let deadline = specs[0].deadline;
+    let submit_all = |svc: &mut Service| {
+        for spec in &specs {
+            assert!(svc.submit(spec.clone()).accepted());
+        }
+    };
+    let finish = |svc: Service| {
+        let mut m = svc.finish();
+        m.clear_wall_clock();
+        serde_json::to_string(&m).expect("serializable metrics")
+    };
+
+    let mut svc = Service::new(e.sim.clone(), mlfh(&e), None);
+    submit_all(&mut svc);
+    assert_eq!(svc.run_until_drained(), StepOutcome::Drained);
+    let reference = finish(svc);
+
+    // Tick until the watched deadline lies in `(last, now]`, unfrozen.
+    let mut svc = Service::new(e.sim.clone(), mlfh(&e), None);
+    submit_all(&mut svc);
+    let snap = loop {
+        assert_eq!(svc.tick(), StepOutcome::Continue, "deadline never due");
+        let snap = svc.snapshot();
+        if snap.sim.last < deadline && deadline <= snap.sim.now {
+            break snap;
+        }
+    };
+    let (_, job) = snap
+        .sim
+        .jobs
+        .iter()
+        .find(|(id, _)| *id == watched)
+        .expect("watched job is live");
+    assert!(job.accuracy_at_deadline.is_none() && !job.is_finished());
+    drop(svc);
+    let json = serde_json::to_string(&snap).expect("snapshot serializes");
+    let snap = serde_json::from_str(&json).expect("snapshot deserializes");
+    let mut restored = Service::restore(e.sim.clone(), snap, mlfh(&e), None);
+    assert_eq!(restored.run_until_drained(), StepOutcome::Drained);
+    assert_eq!(
+        reference,
+        finish(restored),
+        "the restored run lost the deadline freeze"
+    );
+}
+
 #[test]
 fn snapshot_restore_roundtrips_counters_and_backlog() {
     let e = small_fig4(6);

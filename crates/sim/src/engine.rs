@@ -702,10 +702,12 @@ impl Simulation {
             sim.sync_job_sets(id);
         }
         // Rebuild the deadline calendar: windows tile time, so every
-        // deadline at or before `now` was either frozen when its
+        // deadline at or before `last` was either frozen when its
         // window passed or is never frozen in either engine (the
-        // freeze guard is `d > t`). Only unfrozen future deadlines of
-        // active jobs can still fire. Entry order within equal
+        // freeze guard is `d > t`). A snapshot is taken between
+        // rounds, and the next `step` advances over `(last, now]`, so
+        // unfrozen deadlines of active jobs after `last` (not after
+        // `now`) can still fire. Entry order within equal
         // deadlines differs from the original admission-ordered
         // calendar, but the pop handler touches only its own job, so
         // the difference is unobservable.
@@ -714,7 +716,7 @@ impl Simulation {
                 .active
                 .iter()
                 .filter_map(|id| sim.jobs.get(id).map(|j| (*id, j)))
-                .filter(|(_, j)| j.accuracy_at_deadline.is_none() && j.spec.deadline > sim.now)
+                .filter(|(_, j)| j.accuracy_at_deadline.is_none() && j.spec.deadline > sim.last)
                 .map(|(id, j)| (j.spec.deadline, id))
                 .collect();
             for (at, id) in due {
