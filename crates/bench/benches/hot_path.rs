@@ -3,7 +3,13 @@
 //! `scheduler_overhead` bench uses:
 //!
 //! * `select_host` — one RIAL ideal-point host selection for a queued
-//!   task (candidate filter + affinity map + distance argmin);
+//!   task on a plain `Cluster` (candidate filter + affinity map +
+//!   distance argmin over every server: the full scan);
+//! * `select_host_overlay` — a host choice on MLF-H's planning view, a
+//!   275-server `ClusterOverlay` with float-residue servers and the
+//!   task's neighbours placed, answered from the overlay's load index;
+//!   `select_host_philly_scan` is the same choice scanned on the plain
+//!   `Cluster`;
 //! * `all_priorities` — Eq. 2–6 priorities for every live task;
 //! * `scores_batch` — one batched policy forward over a full
 //!   candidate set (the MLF-RL inference primitive);
@@ -23,10 +29,57 @@
 //! cargo bench -p mlfs-bench --bench hot_path
 //! ```
 
+use cluster::{Cluster, ClusterConfig, ClusterOverlay, JobId, ResourceVec, ServerId, TaskId};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mlfs::{Scheduler, SchedulerContext};
 use rl::{FeatureBatch, ScoringPolicy};
 use simcore::{SimRng, SimTime};
+use workload::JobArena;
+
+/// A Philly-scale-0.5 cluster (275 servers) in the state MLF-H plans on
+/// mid-run: a fifth loaded, the rest emptied again with float residue
+/// left in all but one resource (a different one per fifth, as after
+/// real churn), so no server is idle yet every resource has exact
+/// zeros; `task`'s neighbours run on loaded servers.
+fn philly_half(jobs: &JobArena, task: TaskId) -> Cluster {
+    // Per `i % 5`: the resource a residue server keeps at exactly zero,
+    // or `None` for a loaded server.
+    const ZERO_IN: [Option<usize>; 5] = [Some(0), None, Some(1), Some(2), Some(3)];
+    let mut c = Cluster::new(&ClusterConfig::paper_philly(0.5));
+    let n = c.server_count();
+    let filler = |k: usize| TaskId::new(JobId(1_000_000 + k as u32), 0);
+    for i in 0..n {
+        let sid = ServerId(i as u32);
+        let Some(zero) = ZERO_IN[i % 5] else {
+            let d = ResourceVec::new(1.5, 12.0, 90.0, 400.0);
+            c.place(filler(i), sid, d, 0.75).expect("filler fits");
+            continue;
+        };
+        // Adding 0.1 then 0.2 and taking both off leaves ~2.8e-17.
+        let mut unit = [1.0; cluster::NUM_RESOURCES];
+        unit[zero] = 0.0;
+        for k in 1..=2 {
+            let d = ResourceVec(unit.map(|u| u * 0.1 * k as f64));
+            c.place(filler(n * k + i), sid, d, d.0[0])
+                .expect("filler fits");
+        }
+        for k in 1..=2 {
+            c.remove(filler(n * k + i));
+        }
+    }
+    if let Some(job) = jobs.get(&task.job) {
+        let neighbours = mlfs::placement::comm_neighbors(job, task.idx as usize);
+        for (j, nb) in neighbours.into_iter().enumerate() {
+            let Some(spec) = job.spec.tasks.get(nb as usize) else {
+                continue;
+            };
+            let sid = ServerId(((1 + 5 * j) % n) as u32);
+            c.place(TaskId::new(task.job, nb), sid, spec.demand, spec.gpu_share)
+                .expect("neighbour fits");
+        }
+    }
+    c
+}
 
 fn bench_hot_path(c: &mut Criterion) {
     let (cluster, jobs, queue) = mlfs_bench::snapshot(60, 7);
@@ -41,6 +94,49 @@ fn bench_hot_path(c: &mut Criterion) {
                 &cluster,
                 &jobs,
                 black_box(task),
+                None,
+                &params,
+            ))
+        })
+    });
+    // A queued task with neighbours that an idle Philly server can host
+    // (the scan's task above fits nowhere). The overlay builds its index
+    // on the first call and keeps it, as it does for the ~70 picks of
+    // one MLF-H round at this scale.
+    let idle = Cluster::new(&ClusterConfig::paper_philly(0.01));
+    let placeable = *queue
+        .iter()
+        .find(|t| {
+            jobs.get(&t.job).is_some_and(|job| {
+                let spec = &job.spec.tasks[t.idx as usize];
+                mlfs::placement::comm_degree(job, t.idx as usize) > 0
+                    && idle.servers()[0].can_host(&spec.demand, spec.gpu_share, params.h_r)
+            })
+        })
+        .expect("snapshot has a placeable task with neighbours");
+    let philly = philly_half(&jobs, placeable);
+    let overlay = ClusterOverlay::new(&philly, params.h_r);
+    assert_eq!(
+        mlfs::placement::select_host(&overlay, &jobs, placeable, None, &params),
+        mlfs::placement::select_host(&philly, &jobs, placeable, None, &params),
+    );
+    group.bench_function("select_host_overlay", |b| {
+        b.iter(|| {
+            black_box(mlfs::placement::select_host(
+                &overlay,
+                &jobs,
+                black_box(placeable),
+                None,
+                &params,
+            ))
+        })
+    });
+    group.bench_function("select_host_philly_scan", |b| {
+        b.iter(|| {
+            black_box(mlfs::placement::select_host(
+                &philly,
+                &jobs,
+                black_box(placeable),
                 None,
                 &params,
             ))

@@ -21,7 +21,9 @@
 //! engine ∈ naive|event|both), `--x 1` (Fig. 5 load multiplier),
 //! `--tf 40` (time compression), `--seed 42`, `--out BENCH_scale.json`.
 //! The JSON is rewritten after every completed run, so a partial sweep
-//! still leaves usable numbers on disk.
+//! still leaves usable numbers on disk. Its `growth_exponent` is the
+//! log–log slope of `wall_s` against jobs over the event-engine runs
+//! (1 is linear growth; null with fewer than two scales).
 
 use mlfs_bench::Args;
 use mlfs_sim::engine::EngineMode;
@@ -128,6 +130,8 @@ fn main() {
     let mut runs: Vec<Value> = Vec::new();
     // wall_s of the naive run at each scale, for the speedup column.
     let mut naive_wall: Vec<(f64, f64)> = Vec::new();
+    // (jobs, wall_s) of every event-engine run, for the growth exponent.
+    let mut event_growth: Vec<(f64, f64)> = Vec::new();
     let mut blown = false;
 
     for p in &points {
@@ -154,8 +158,9 @@ fn main() {
             m.jobs.len()
         );
 
-        if p.engine == EngineMode::Naive {
-            naive_wall.push((p.scale, wall));
+        match p.engine {
+            EngineMode::Naive => naive_wall.push((p.scale, wall)),
+            EngineMode::EventDriven => event_growth.push((m.jobs_submitted as f64, wall)),
         }
         let speedup = (p.engine == EngineMode::EventDriven)
             .then(|| {
@@ -179,9 +184,11 @@ fn main() {
         ]));
 
         // Rewrite after every run so a partial sweep is still useful.
+        let growth = mlfs_bench::growth_exponent(&event_growth).map_or(Value::Null, Value::F64);
         let root = Value::Map(vec![
             ("meta".into(), meta.clone()),
             ("runs".into(), Value::Seq(runs.clone())),
+            ("growth_exponent".into(), growth),
         ]);
         if let Err(err) = std::fs::write(&out, serde_json::value_to_string_pretty(&root) + "\n") {
             eprintln!("failed to write {out}: {err}");

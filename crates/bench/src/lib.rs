@@ -412,6 +412,29 @@ pub fn print_figure_panels(cells: &[Cell], names: &[&str], xs: &[f64], panel: Op
     }
 }
 
+/// Least-squares slope of `ln(wall_s)` against `ln(jobs)` over
+/// `(jobs, wall_s)` points: the `k` in `wall ∝ jobs^k` (1 is linear
+/// growth). `None` without two distinct job counts or with a value
+/// that is not positive.
+pub fn growth_exponent(points: &[(f64, f64)]) -> Option<f64> {
+    if points
+        .iter()
+        .any(|&(jobs, wall)| !(jobs > 0.0 && wall > 0.0))
+    {
+        return None;
+    }
+    let n = points.len() as f64;
+    let mean_x = points.iter().map(|p| p.0.ln()).sum::<f64>() / n;
+    let mean_y = points.iter().map(|p| p.1.ln()).sum::<f64>() / n;
+    let (mut sxx, mut sxy) = (0.0, 0.0);
+    for &(jobs, wall) in points {
+        let dx = jobs.ln() - mean_x;
+        sxx += dx * dx;
+        sxy += dx * (wall.ln() - mean_y);
+    }
+    (sxx > 0.0).then(|| sxy / sxx)
+}
+
 /// Build a realistic mid-run cluster snapshot for micro-benchmarks:
 /// `n_jobs` jobs arrived, roughly half their tasks placed (via
 /// least-loaded first fit), the other half queued. Returns the parts
@@ -501,6 +524,16 @@ mod tests {
         assert_eq!(a.get("smoke"), Some("true"));
         assert_eq!(a.get("out"), Some("x"));
         assert_eq!(a.get("full"), Some("true"));
+    }
+
+    #[test]
+    fn growth_exponent_is_the_log_log_slope() {
+        let quadratic = [(1e3, 0.5), (1e4, 50.0), (1e5, 5000.0)];
+        let k = growth_exponent(&quadratic).unwrap();
+        assert!((k - 2.0).abs() < 1e-12, "{k}");
+        assert_eq!(growth_exponent(&[(1e3, 1.0), (1e3, 2.0)]), None);
+        assert_eq!(growth_exponent(&[(1e3, 1.0)]), None);
+        assert_eq!(growth_exponent(&[(1e3, 1.0), (1e4, 0.0)]), None);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 // non-test code only) and structurally by `cargo run -p mlfs-lint`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod host_index;
 pub mod ids;
 pub mod resources;
 pub mod server;
@@ -30,6 +31,7 @@ pub mod state;
 pub mod topology;
 pub mod view;
 
+pub use host_index::HostIndex;
 pub use ids::{JobId, ServerId, TaskId};
 pub use resources::{Resource, ResourceVec, NUM_RESOURCES};
 pub use server::{HealthState, Server, TaskPlacement};

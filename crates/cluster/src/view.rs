@@ -9,13 +9,17 @@
 //! carried over from the base's incremental index and updated in
 //! place. Placement logic is generic over [`ClusterView`], so the
 //! same code serves the real cluster (tests, baselines) and the
-//! overlay (the MLF-H / MLF-RL hot path).
+//! overlay (the MLF-H / MLF-RL hot path). The overlay also keeps a
+//! [`HostIndex`] of servers by load, built on first use, which RIAL
+//! host selection reads instead of scanning every server.
 
+use crate::host_index::HostIndex;
 use crate::ids::{ServerId, TaskId};
 use crate::resources::ResourceVec;
 use crate::server::{Server, TaskPlacement};
 use crate::state::{Cluster, PlaceError};
 use crate::topology::Topology;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Read-only access to (possibly speculative) cluster state.
@@ -40,6 +44,11 @@ pub trait ClusterView {
         let mut out = Vec::new();
         self.overloaded_into(h_r, &mut out);
         out
+    }
+
+    /// The view's load index, if it keeps one (only the overlay does).
+    fn host_index(&self) -> Option<&HostIndex> {
+        None
     }
 }
 
@@ -79,8 +88,14 @@ impl ClusterView for Cluster {
 /// Mutations (`place`, `remove`, `migrate`) copy the touched server
 /// into the overlay on first write and maintain a task→server index
 /// delta plus an incrementally-updated overloaded-server set at the
-/// overlay's threshold. Dropping the overlay discards the
-/// speculation; the base cluster is never modified.
+/// overlay's threshold. The [`HostIndex`] is built on the first
+/// [`ClusterView::host_index`] call and then kept up to date the same
+/// way, unless some resource then has no server at exactly zero. No
+/// pick can be certified in that state, and exact zeros come back
+/// mid-round only when a speculative remove undoes a place, so the
+/// overlay keeps no index rather than maintain one it cannot use.
+/// Dropping the overlay discards the speculation; the base cluster is
+/// never modified.
 #[derive(Debug, Clone)]
 pub struct ClusterOverlay<'a> {
     base: &'a Cluster,
@@ -93,6 +108,9 @@ pub struct ClusterOverlay<'a> {
     index_del: BTreeSet<TaskId>,
     /// Servers overloaded at `h_r` under the speculative state.
     overloaded: BTreeSet<ServerId>,
+    /// Load index of the speculative state, once asked for; `None` if
+    /// it could certify nothing then.
+    index: OnceCell<Option<HostIndex>>,
 }
 
 impl<'a> ClusterOverlay<'a> {
@@ -117,6 +135,7 @@ impl<'a> ClusterOverlay<'a> {
             index_add: BTreeMap::new(),
             index_del: BTreeSet::new(),
             overloaded,
+            index: OnceCell::new(),
         }
     }
 
@@ -138,11 +157,18 @@ impl<'a> ClusterOverlay<'a> {
             .or_insert_with(|| self.base.server(id).clone())
     }
 
-    fn sync_overload(&mut self, id: ServerId) {
-        if self.server(id).is_overloaded(self.h_r) {
+    /// Bring the overload set and the load index up to date with
+    /// server `id` after a write.
+    fn sync(&mut self, id: ServerId) {
+        let srv = self.server(id);
+        let (overloaded, util) = (srv.is_overloaded(self.h_r), srv.utilization().0);
+        if overloaded {
             self.overloaded.insert(id);
         } else {
             self.overloaded.remove(&id);
+        }
+        if let Some(Some(ix)) = self.index.get_mut() {
+            ix.update(id, &util);
         }
     }
 
@@ -166,7 +192,7 @@ impl<'a> ClusterOverlay<'a> {
         let gpu = self.server_mut(server).place(task, demand, gpu_share);
         self.index_add.insert(task, server);
         self.index_del.remove(&task);
-        self.sync_overload(server);
+        self.sync(server);
         Ok(gpu)
     }
 
@@ -180,7 +206,7 @@ impl<'a> ClusterOverlay<'a> {
             // speculative move); shadow it so it stays gone.
             self.index_del.insert(task);
         }
-        self.sync_overload(server);
+        self.sync(server);
         Some((server, p))
     }
 
@@ -246,6 +272,12 @@ impl ClusterView for ClusterOverlay<'_> {
                     .filter(|&id| self.server(id).is_overloaded(h_r)),
             );
         }
+    }
+
+    fn host_index(&self) -> Option<&HostIndex> {
+        self.index
+            .get_or_init(|| Some(HostIndex::build(self)).filter(HostIndex::zero_in_every_resource))
+            .as_ref()
     }
 }
 
@@ -414,6 +446,32 @@ mod tests {
         assert_eq!(v.server(ServerId(0)).task_count(), 1);
         // The refusal never touched the source: nothing was copied.
         assert_eq!(v.touched_count(), 0);
+    }
+
+    #[test]
+    fn host_index_is_kept_only_while_every_resource_has_a_zero() {
+        // Two idle servers: every resource has an exact zero.
+        let c = base();
+        let mut v = ClusterOverlay::new(&c, 0.9);
+        assert!(v.host_index().is_some());
+        v.place(tid(2, 0), ServerId(2), ResourceVec::splat(0.1), 0.1)
+            .unwrap();
+        assert_eq!(
+            v.host_index().map(|ix| ix.key(ServerId(2)) > 0.0),
+            Some(true)
+        );
+        // Load every server in every resource: nothing to certify.
+        let mut full = base();
+        for s in 2..4 {
+            full.place(
+                tid(3, s),
+                ServerId(u32::from(s)),
+                ResourceVec::splat(0.1),
+                0.1,
+            )
+            .unwrap();
+        }
+        assert!(ClusterOverlay::new(&full, 0.9).host_index().is_none());
     }
 
     #[test]

@@ -5,7 +5,22 @@
 //!   task, build the *ideal virtual host*: per-resource minimum
 //!   utilization, maximum communication affinity with the task, and
 //!   zero migration penalty; pick the server closest to it in
-//!   Euclidean distance.
+//!   Euclidean distance, ties to the lowest server id.
+//!
+//!   On a view that keeps a [`cluster::HostIndex`] (the planning
+//!   [`cluster::ClusterOverlay`], in rounds that start with an exact
+//!   zero in every resource), most picks skip the scan of every
+//!   server. When every resource has a feasible server at exactly
+//!   zero utilization, the ideal point's utilization part is all-zero
+//!   and each candidate's utilization distance is its index key
+//!   `‖u‖²`. Without affinity the pick is then the first feasible
+//!   server in `(‖u‖², id)` order. With affinity every non-neighbour
+//!   candidate scores at least `AFFINITY_WEIGHT` while the
+//!   best-connected neighbour host scores its key, so scoring the
+//!   neighbour hosts alone settles the pick whenever that key is below
+//!   the weight. Both paths pick the same server, bit for bit.
+//!   Migrations (which add a penalty dimension), views without an
+//!   index, and every other call scan.
 //! * **Victim selection** — on an overloaded server, build the *ideal
 //!   virtual task*: maximum task utilization on every overloaded
 //!   resource, minimum on every underloaded one, and zero co-located
@@ -16,13 +31,14 @@
 
 use crate::params::Params;
 use crate::priority::PriorityMap;
-use cluster::{ClusterView, Resource, ServerId, TaskId};
+use cluster::{ClusterView, Resource, ServerId, TaskId, NUM_RESOURCES};
 use std::cell::RefCell;
+use workload::job::TaskSpec;
+use workload::{CommStructure, JobArena, JobState};
 
 /// Weight of the communication-affinity dimension in the host
 /// ideal-point distance (utilization dims weigh 1 each).
 const AFFINITY_WEIGHT: f64 = 6.0;
-use workload::{CommStructure, JobArena, JobState};
 
 /// Append the task indices that communicate directly with task `idx`
 /// of `job` (DAG neighbours plus parameter-accumulation links) to
@@ -172,6 +188,11 @@ fn select_host_inner<V: ClusterView, F: Fn(ServerId) -> bool>(
 ) -> Option<ServerId> {
     let job = jobs.get(&task.job)?;
     let spec = job.spec.tasks.get(task.idx as usize)?;
+    if migration_from.is_none() {
+        if let Some(host) = indexed_pick(plan, job, task, spec, p, &deny, s) {
+            return Some(host);
+        }
+    }
     // Candidates: underloaded servers that stay under h_r with the task.
     s.candidates.clear();
     for i in 0..plan.server_count() {
@@ -196,23 +217,12 @@ fn select_host_inner<V: ClusterView, F: Fn(ServerId) -> bool>(
             .map(|&sid| plan.server(sid).utilization().0),
     );
 
-    // Affinity: walk the task's neighbours once, accumulating MB per
-    // hosting server, then look candidates up in that map — O(degree +
-    // candidates) instead of O(degree × candidates).
+    // Affinity: per-host MB from the task's neighbours, looked up per
+    // candidate.
     s.affinities.clear();
     let mut max_affinity = 0.0f64;
     if p.use_bandwidth {
-        comm_neighbors_into(job, task.idx as usize, &mut s.neighbors);
-        s.affinity_by_server.clear();
-        for &nb in &s.neighbors {
-            let nb_id = TaskId::new(job.spec.id, nb);
-            if let Some(host) = plan.locate(nb_id) {
-                match s.affinity_by_server.iter_mut().find(|(sv, _)| *sv == host) {
-                    Some((_, mb)) => *mb += job.spec.comm_mb,
-                    None => s.affinity_by_server.push((host, job.spec.comm_mb)),
-                }
-            }
-        }
+        neighbour_hosts(plan, job, task, s);
         for &sid in &s.candidates {
             let mb = s
                 .affinity_by_server
@@ -282,6 +292,84 @@ fn select_host_inner<V: ClusterView, F: Fn(ServerId) -> bool>(
         }
     }
     best.map(|(_, s)| s)
+}
+
+/// Fill `s.affinity_by_server` with the MB/iteration `task` exchanges
+/// with each server hosting one of its neighbours: walk the neighbours
+/// once, accumulating per host, so lookups are O(degree) instead of
+/// O(degree × candidates).
+fn neighbour_hosts<V: ClusterView>(plan: &V, job: &JobState, task: TaskId, s: &mut HostScratch) {
+    comm_neighbors_into(job, task.idx as usize, &mut s.neighbors);
+    s.affinity_by_server.clear();
+    for &nb in &s.neighbors {
+        let nb_id = TaskId::new(job.spec.id, nb);
+        if let Some(host) = plan.locate(nb_id) {
+            match s.affinity_by_server.iter_mut().find(|(sv, _)| *sv == host) {
+                Some((_, mb)) => *mb += job.spec.comm_mb,
+                None => s.affinity_by_server.push((host, job.spec.comm_mb)),
+            }
+        }
+    }
+}
+
+/// The scan's pick for a non-migrating `task`, read off the view's load
+/// index, or `None` when the view keeps no index or the index cannot
+/// certify the pick; the caller then scans. It certifies when every utilization is a finite non-negative
+/// number and every resource has a feasible server at exactly zero
+/// (float residue does not count), so that the ideal point's
+/// utilization part is all-zero and each candidate's utilization
+/// distance is its index key. Then:
+///
+/// * without affinity every candidate's distance *is* its key, and the
+///   pick is the first feasible server in `(key, id)` order;
+/// * with affinity every non-neighbour candidate scores
+///   `fl(key + AFFINITY_WEIGHT) ≥ AFFINITY_WEIGHT`, while the
+///   best-connected feasible neighbour host scores exactly its key. So
+///   when the best neighbour host scores below `AFFINITY_WEIGHT` (always,
+///   unless `h_r` lets a key reach it) it is the pick; otherwise scan.
+fn indexed_pick<V: ClusterView, F: Fn(ServerId) -> bool>(
+    plan: &V,
+    job: &JobState,
+    task: TaskId,
+    spec: &TaskSpec,
+    p: &Params,
+    deny: &F,
+    s: &mut HostScratch,
+) -> Option<ServerId> {
+    let ix = plan.host_index().filter(|ix| ix.is_exact())?;
+    // The scan's candidate test.
+    let feasible = |sid: ServerId| {
+        let srv = plan.server(sid);
+        !srv.is_overloaded(p.h_r) && !deny(sid) && srv.can_host(&spec.demand, spec.gpu_share, p.h_r)
+    };
+    for d in 0..NUM_RESOURCES {
+        ix.zero_in(d).find(|&sid| feasible(sid))?;
+    }
+
+    let mut max_affinity = 0.0f64;
+    if p.use_bandwidth {
+        neighbour_hosts(plan, job, task, s);
+        for &(host, mb) in &s.affinity_by_server {
+            if feasible(host) {
+                max_affinity = max_affinity.max(mb);
+            }
+        }
+    }
+    if max_affinity <= 0.0 {
+        return ix.ranked().find(|&sid| feasible(sid));
+    }
+    let mut best: Option<(f64, ServerId)> = None;
+    for &(host, mb) in &s.affinity_by_server {
+        if feasible(host) {
+            let diff = mb / max_affinity - 1.0;
+            let d2 = ix.key(host) + AFFINITY_WEIGHT * diff * diff;
+            if best.is_none_or(|(bd, bid)| d2 < bd || (d2 == bd && host < bid)) {
+                best = Some((d2, host));
+            }
+        }
+    }
+    best.filter(|&(d2, _)| d2 < AFFINITY_WEIGHT)
+        .map(|(_, host)| host)
 }
 
 /// Megabytes of state moved when task `idx` of `job` migrates

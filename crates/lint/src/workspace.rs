@@ -79,6 +79,15 @@ pub fn scan_workspace_deep(root: &Path, deep: bool) -> io::Result<WorkspaceRepor
         }
     }
 
+    if !deep {
+        // Only the deep pass can consume an allow that names nothing
+        // but deep rules, so a local scan cannot call it unused.
+        report
+            .stats
+            .allows_unused
+            .retain(|(_, _, rules)| !rules.split(',').all(|r| r.starts_with("deep-")));
+    }
+
     if deep {
         let dr = analyze(&parsed);
         // A `lint:allow` the deep pass consumed is not unused, even if

@@ -73,3 +73,30 @@ fn deterministic_tier_has_no_determinism_findings() {
         .collect();
     assert!(det.is_empty(), "determinism/config findings: {det:?}");
 }
+
+/// A local scan cannot see deep findings, so it does not call an allow
+/// that names only deep rules unused; the deep scan still does when it
+/// fires nothing. An allow that also names a local rule stays audited
+/// by the local scan.
+#[test]
+fn local_scan_leaves_deep_only_allows_to_the_deep_scan() {
+    let root = std::env::temp_dir().join(format!("mlfs-lint-deep-allow-{}", std::process::id()));
+    let src = root.join("crates/core/src");
+    std::fs::create_dir_all(&src).expect("fixture dir");
+    std::fs::write(
+        src.join("lib.rs"),
+        "// lint:allow(deep-panic-path) reason=\"fixture: suppresses nothing\"\n\
+         pub fn one() -> u32 {\n    1\n}\n\
+         // lint:allow(panic-unwrap, deep-panic-path) reason=\"fixture: suppresses nothing\"\n\
+         pub fn two() -> u32 {\n    2\n}\n",
+    )
+    .expect("fixture file");
+    let local = scan_workspace_deep(&root, false).expect("local scan");
+    let deep = scan_workspace_deep(&root, true).expect("deep scan");
+    let _ = std::fs::remove_dir_all(&root);
+    let lines = |r: &mlfs_lint::WorkspaceReport| -> Vec<u32> {
+        r.stats.allows_unused.iter().map(|(_, l, _)| *l).collect()
+    };
+    assert_eq!(lines(&local), vec![5], "{:?}", local.stats.allows_unused);
+    assert_eq!(lines(&deep), vec![1, 5], "{:?}", deep.stats.allows_unused);
+}
