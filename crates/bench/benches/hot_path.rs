@@ -2,9 +2,10 @@
 //! decision, measured in isolation on the same 60-job snapshot the
 //! `scheduler_overhead` bench uses:
 //!
-//! * `select_host` — one RIAL ideal-point host selection for a queued
-//!   task on a plain `Cluster` (candidate filter + affinity map +
-//!   distance argmin over every server: the full scan);
+//! * `select_host` — one RIAL ideal-point host selection for the first
+//!   queued task that has a feasible host, on a plain `Cluster`
+//!   (candidate filter + affinity map + distance argmin over every
+//!   server: the full scan);
 //! * `select_host_overlay` — a host choice on MLF-H's planning view, a
 //!   275-server `ClusterOverlay` with float-residue servers and the
 //!   task's neighbours placed, answered from the overlay's load index;
@@ -84,7 +85,12 @@ fn philly_half(jobs: &JobArena, task: TaskId) -> Cluster {
 fn bench_hot_path(c: &mut Criterion) {
     let (cluster, jobs, queue) = mlfs_bench::snapshot(60, 7);
     let params = mlfs::Params::default();
-    let task = *queue.first().expect("snapshot has queued tasks");
+    // The first queued task the scan can place: a task that fits
+    // nowhere would time a failed scan, not a placement.
+    let task = *queue
+        .iter()
+        .find(|t| mlfs::placement::select_host(&cluster, &jobs, **t, None, &params).is_some())
+        .expect("snapshot has a placeable queued task");
 
     let mut group = c.benchmark_group("hot_path");
     group.sample_size(30);
@@ -99,8 +105,8 @@ fn bench_hot_path(c: &mut Criterion) {
             ))
         })
     });
-    // A queued task with neighbours that an idle Philly server can host
-    // (the scan's task above fits nowhere). The overlay builds its index
+    // A queued task with neighbours that an idle Philly server can host.
+    // The overlay builds its index
     // on the first call and keeps it, as it does for the ~70 picks of
     // one MLF-H round at this scale.
     let idle = Cluster::new(&ClusterConfig::paper_philly(0.01));

@@ -160,7 +160,7 @@ pub trait Scheduler: Send {
 /// Render a `serde`-serializable state struct as the JSON string
 /// [`Scheduler::export_state`] returns.
 pub fn state_to_json<T: serde::Serialize>(state: &T) -> String {
-    serde::text::render(&state.serialize_value(), None)
+    serde::text::render(state, None)
 }
 
 /// Parse a [`Scheduler::export_state`] string back into its state

@@ -39,6 +39,11 @@ pub const DETERMINISTIC_TIER: &[&str] = &[
 /// Crates in the scheduler hot-path tier.
 pub const HOT_PATH_TIER: &[&str] = &["core", "cluster", "sim", "obs", "service"];
 
+/// Vendored crates (directory names under `vendor/`) in the hot-path
+/// tier: the JSON codec writes every service snapshot and WAL record
+/// and parses them again on every recovery.
+pub const HOT_PATH_VENDOR: &[&str] = &["serde"];
+
 /// Rule families that apply to one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilePolicy {
@@ -65,20 +70,30 @@ pub enum Tier {
 }
 
 /// Policy for a workspace-relative path such as
-/// `crates/core/src/mlfh.rs`. Non-library targets (tests, benches,
-/// examples, bin) and non-tier crates get [`FilePolicy::NONE`].
+/// `crates/core/src/mlfh.rs` or `vendor/serde/src/lib.rs`. Non-library
+/// targets (tests, benches, examples, bin) and non-tier crates get
+/// [`FilePolicy::NONE`].
 pub fn policy_for(rel_path: &str) -> FilePolicy {
     let p = rel_path.replace('\\', "/");
-    // Only library code inside `crates/<name>/src/` is in scope, and
-    // `src/bin/` CLI targets are not library code.
-    let Some(rest) = p.strip_prefix("crates/") else {
-        return FilePolicy::NONE;
+    // Only library code inside `crates/<name>/src/` (or a hot-path
+    // `vendor/<name>/src/`) is in scope, and `src/bin/` CLI targets
+    // are not library code.
+    let (vendored, rest) = match (p.strip_prefix("crates/"), p.strip_prefix("vendor/")) {
+        (Some(rest), _) => (false, rest),
+        (None, Some(rest)) => (true, rest),
+        (None, None) => return FilePolicy::NONE,
     };
     let Some((krate, tail)) = rest.split_once('/') else {
         return FilePolicy::NONE;
     };
     if !tail.starts_with("src/") || tail.starts_with("src/bin/") {
         return FilePolicy::NONE;
+    }
+    if vendored {
+        return FilePolicy {
+            deterministic: false,
+            hot_path: HOT_PATH_VENDOR.contains(&krate),
+        };
     }
     FilePolicy {
         deterministic: DETERMINISTIC_TIER.contains(&krate),

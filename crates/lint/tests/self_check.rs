@@ -100,3 +100,55 @@ fn local_scan_leaves_deep_only_allows_to_the_deep_scan() {
     assert_eq!(lines(&local), vec![5], "{:?}", local.stats.allows_unused);
     assert_eq!(lines(&deep), vec![1, 5], "{:?}", deep.stats.allows_unused);
 }
+
+/// The vendored JSON codec is hot-path code: it writes every service
+/// snapshot and WAL record and parses them on recovery. A panic in it
+/// is reported by the local scan and, from a service entry point, by
+/// the deep scan; the other vendored crates stay out of scope.
+#[test]
+fn vendored_codec_is_in_the_hot_path_tier() {
+    use mlfs_lint::policy::{policy_for, FilePolicy};
+    let codec = policy_for("vendor/serde/src/lib.rs");
+    assert!(codec.hot_path && !codec.deterministic, "{codec:?}");
+    for out in [
+        "vendor/serde_json/src/lib.rs",
+        "vendor/rand/src/lib.rs",
+        "vendor/serde/tests/golden.rs",
+        "vendor/serde/src/bin/tool.rs",
+    ] {
+        assert_eq!(policy_for(out), FilePolicy::NONE, "{out}");
+    }
+
+    let root = std::env::temp_dir().join(format!("mlfs-lint-vendor-{}", std::process::id()));
+    let write = |rel: &str, text: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("parent")).expect("fixture dir");
+        std::fs::write(path, text).expect("fixture file");
+    };
+    write(
+        "vendor/serde/src/lib.rs",
+        "pub fn parse_text(s: &str) -> u32 {\n    s.parse().unwrap()\n}\n",
+    );
+    write(
+        "crates/service/src/lib.rs",
+        "pub fn recover(s: &str) -> u32 {\n    parse_text(s)\n}\n",
+    );
+    let local = scan_workspace(&root).expect("local scan");
+    let deep = scan_workspace_deep(&root, true).expect("deep scan");
+    let _ = std::fs::remove_dir_all(&root);
+    let hits = |r: &mlfs_lint::WorkspaceReport| -> Vec<(String, u32, &'static str)> {
+        r.findings
+            .iter()
+            .map(|f| (f.file.clone(), f.line, f.rule))
+            .collect()
+    };
+    let seed = ("vendor/serde/src/lib.rs".to_string(), 2, "panic-unwrap");
+    assert_eq!(hits(&local), vec![seed.clone()]);
+    assert_eq!(
+        hits(&deep),
+        vec![
+            ("vendor/serde/src/lib.rs".to_string(), 2, "deep-panic-path"),
+            seed
+        ]
+    );
+}

@@ -42,8 +42,8 @@ pub struct ScoringPolicy {
 struct TwCache(RefCell<TransposedWeights>);
 
 impl serde::Serialize for TwCache {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Null
+    fn write_json(&self, w: &mut serde::Writer<'_>) {
+        w.null();
     }
 }
 

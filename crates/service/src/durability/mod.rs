@@ -162,9 +162,14 @@ impl Durability {
     }
 
     /// Reattach to an existing store after recovery: append to the
-    /// WAL at `valid_len` (torn tail already truncated).
-    pub(crate) fn reopen(cfg: DurabilityConfig, valid_len: u64) -> std::io::Result<Durability> {
-        let writer = WalWriter::open_at(&cfg.dir.join("wal.log"), valid_len)?;
+    /// WAL at `valid_len` (torn tail already truncated), whose frames
+    /// are `frames` (`(seq, offset)` pairs from the recovery scan).
+    pub(crate) fn reopen(
+        cfg: DurabilityConfig,
+        valid_len: u64,
+        frames: Vec<(u64, u64)>,
+    ) -> std::io::Result<Durability> {
+        let writer = WalWriter::open_at(&cfg.dir.join("wal.log"), valid_len, frames)?;
         let tracer = Arc::new(Tracer::from_config(&cfg.trace)?);
         Ok(Durability {
             cfg,

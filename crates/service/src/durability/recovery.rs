@@ -119,7 +119,7 @@ pub fn recover(
     report.resumed_accepted = svc.stats().accepted;
 
     // 4. Reattach the durable store and stamp the recovery.
-    let durability = Durability::reopen(dcfg, scan.valid_len)?;
+    let durability = Durability::reopen(dcfg, scan.valid_len, scan.frames())?;
     durability.tracer.add(Counter::Recoveries, 1);
     if let Some((at, dropped)) = scan.torn {
         durability

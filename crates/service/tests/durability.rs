@@ -206,8 +206,14 @@ fn compaction_drops_covered_records_and_keeps_the_suffix() {
         };
         w.append(&rec, FsyncPolicy::Never).expect("append");
     }
+    let before = std::fs::read(&path).expect("wal readable");
+    let extents = record_extents(&path);
     let dropped = w.compact(4).expect("compact");
     assert_eq!(dropped, 4);
+    // The kept frames are copied byte for byte behind the magic.
+    let mut want = b"MLFSWAL1".to_vec();
+    want.extend_from_slice(&before[extents[4].0..]);
+    assert_eq!(std::fs::read(&path).expect("wal readable"), want);
     // The handle stays appendable after the rename swap.
     w.append(
         &WalRecord {
@@ -599,5 +605,164 @@ fn wal_replay_crosses_a_drain() {
     m.clear_wall_clock();
     let recovered = serde_json::to_string(&m).expect("metrics json");
     assert_eq!(reference, recovered, "recovered run diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Submit the next `jobs` specs, then tick until the engine has run
+/// `until` rounds.
+fn submit_then_tick(
+    svc: &mut Service,
+    specs: &[workload::JobSpec],
+    cursor: &mut usize,
+    jobs: usize,
+    until: u64,
+) {
+    for spec in specs.iter().skip(*cursor).take(jobs) {
+        assert!(svc.submit(spec.clone()).accepted());
+    }
+    *cursor += jobs;
+    while svc.rounds() < until {
+        svc.tick();
+    }
+}
+
+/// `(seq, frame bytes)` of every frame in the WAL at `path`.
+fn frames_of(path: &Path) -> Vec<(u64, Vec<u8>)> {
+    let bytes = std::fs::read(path).expect("wal readable");
+    let scan = read_wal(path).expect("valid wal");
+    let extents = record_extents(path);
+    assert_eq!(scan.records.len(), extents.len());
+    scan.records
+        .iter()
+        .zip(extents)
+        .map(|(r, (start, end))| (r.seq, bytes[start..end].to_vec()))
+        .collect()
+}
+
+/// The `accepted` floor of the oldest retained snapshot in `dir`.
+fn retained_floor(dir: &Path) -> u64 {
+    let snaps = list_snapshots(dir).expect("list");
+    let (_, oldest) = snaps.last().expect("a snapshot");
+    load_snapshot(oldest).expect("valid snapshot").accepted
+}
+
+/// A service snapshotting every 2 rounds and keeping 2 snapshots:
+/// four jobs before round 2, four more before round 4, and four more
+/// before round 5. Its WAL then holds seqs 5–12 (round 2's snapshot
+/// compacted 1–4 away; round 4's had nothing to drop).
+fn durable_with_history(e: &Experiment, dcfg: &DurabilityConfig) -> (Service, usize) {
+    let specs = e.jobs();
+    let mut svc = Service::builder(e.sim.clone())
+        .durability(dcfg.clone())
+        .build(mlfh(e))
+        .expect("fresh durable service");
+    let mut cursor = 0;
+    for until in [2, 4, 5] {
+        submit_then_tick(&mut svc, &specs, &mut cursor, 4, until);
+    }
+    assert_eq!(svc.durability_error(), None);
+    (svc, cursor)
+}
+
+fn every_two_keep_two(dir: &Path) -> DurabilityConfig {
+    let mut dcfg = DurabilityConfig::new(dir);
+    dcfg.snapshot_every_rounds = 2;
+    dcfg.keep_snapshots = 2;
+    dcfg.fsync = FsyncPolicy::Always;
+    dcfg
+}
+
+/// Recovery seeds the writer's frame index from its scan, so the
+/// first snapshot after a restart compacts the recovered log: the
+/// file becomes the magic followed by the original bytes of exactly
+/// the frames past the new floor, recovered and newly appended alike.
+#[test]
+fn compaction_after_recovery_keeps_exactly_the_frames_past_the_floor() {
+    let e = small_fig4(16);
+    let specs = e.jobs();
+    let dir = tmpdir("compact-recovered");
+    let dcfg = every_two_keep_two(&dir);
+    let (svc, mut cursor) = durable_with_history(&e, &dcfg);
+    drop(svc); // the crash
+    let wal = dir.join("wal.log");
+    let recovered: Vec<u64> = frames_of(&wal).iter().map(|(seq, _)| *seq).collect();
+    assert_eq!(recovered, (5..=12).collect::<Vec<u64>>());
+
+    let (mut svc, report) = Service::builder(e.sim.clone())
+        .durability(dcfg)
+        .recover(mlfh(&e))
+        .expect("recovery succeeds");
+    assert_eq!(report.snapshot_round, Some(4));
+    // Two more accepts after the restart, then the round-6 snapshot.
+    submit_then_tick(&mut svc, &specs, &mut cursor, 2, 5);
+    let before = frames_of(&wal);
+    assert_eq!(before.len(), 10, "8 recovered frames + 2 new ones");
+    submit_then_tick(&mut svc, &specs, &mut cursor, 0, 6);
+    assert_eq!(svc.durability_error(), None);
+
+    let floor = retained_floor(&dir);
+    assert_eq!(floor, 8, "snapshots 4 and 6 are kept");
+    let mut want = b"MLFSWAL1".to_vec();
+    for (seq, frame) in &before {
+        if *seq > floor {
+            want.extend_from_slice(frame);
+        }
+    }
+    assert_eq!(std::fs::read(&wal).expect("wal readable"), want);
+    // The rebased index keeps working: append, compact again.
+    submit_then_tick(&mut svc, &specs, &mut cursor, 1, 8);
+    assert_eq!(svc.durability_error(), None);
+    let seqs: Vec<u64> = frames_of(&wal).iter().map(|(seq, _)| *seq).collect();
+    assert_eq!(retained_floor(&dir), 14, "snapshots 6 and 8 are kept");
+    assert_eq!(seqs, vec![15]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A kept frame whose payload no longer matches its CRC stops
+/// compaction: `compact` fails, the log is left as it was, and the
+/// service records the sticky durability error.
+#[test]
+fn compaction_refuses_a_damaged_kept_frame() {
+    let dir = tmpdir("compact-damaged");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("wal.log");
+    let mut w = WalWriter::create(&path).expect("create");
+    for seq in 1..=6u64 {
+        let rec = WalRecord {
+            seq,
+            round: 0,
+            spec: spec(seq as u32),
+        };
+        w.append(&rec, FsyncPolicy::Never).expect("append");
+    }
+    corrupt_payload(&path, record_extents(&path)[4]);
+    let damaged = std::fs::read(&path).expect("wal readable");
+    let err = w
+        .compact(4)
+        .expect_err("a damaged kept frame fails compaction");
+    assert!(err.to_string().contains("corrupt"), "{err}");
+    assert_eq!(std::fs::read(&path).expect("wal readable"), damaged);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The same through a live service: seq 10 is kept at round 6.
+    let e = small_fig4(16);
+    let specs = e.jobs();
+    let dir = tmpdir("compact-damaged-svc");
+    let (mut svc, mut cursor) = durable_with_history(&e, &every_two_keep_two(&dir));
+    let wal = dir.join("wal.log");
+    let frames = frames_of(&wal);
+    let at = frames
+        .iter()
+        .position(|(seq, _)| *seq == 10)
+        .expect("seq 10");
+    corrupt_payload(&wal, record_extents(&wal)[at]);
+    let damaged = std::fs::read(&wal).expect("wal readable");
+    submit_then_tick(&mut svc, &specs, &mut cursor, 0, 6);
+    let err = svc.durability_error().expect("sticky durability error");
+    assert!(
+        err.contains("wal compact") && err.contains("corrupt"),
+        "{err}"
+    );
+    assert_eq!(std::fs::read(&wal).expect("wal readable"), damaged);
     let _ = std::fs::remove_dir_all(&dir);
 }
