@@ -69,6 +69,8 @@ pub struct Mlfs {
     h: Option<MlfH>,
     rl: Option<MlfRl>,
     c: Option<MlfC>,
+    /// Times MLF-C's per-round control as the `mlfc_control` span.
+    tracer: Option<std::sync::Arc<obs::Tracer>>,
 }
 
 impl Mlfs {
@@ -90,6 +92,7 @@ impl Mlfs {
             h,
             rl,
             c,
+            tracer: None,
         }
     }
 
@@ -146,6 +149,7 @@ impl Scheduler for Mlfs {
         // components also interleave at round granularity).
         let mut actions = Vec::new();
         if let Some(c) = &mut self.c {
+            let _span = self.tracer.as_ref().map(|t| obs::span!(t, mlfc_control));
             actions.extend(c.control(ctx));
         }
         let stopped: Vec<cluster::JobId> = actions
@@ -182,7 +186,9 @@ impl Scheduler for Mlfs {
 
     fn attach_tracer(&mut self, tracer: std::sync::Arc<obs::Tracer>) {
         // MLF-C stop decisions surface as engine-side `JobStopped`
-        // events, so only the placement components take the handle.
+        // events, so only the placement components take the handle;
+        // the composite keeps one to time MLF-C's control pass.
+        self.tracer = Some(tracer.clone());
         if let Some(h) = &mut self.h {
             h.attach_tracer(tracer.clone());
         }

@@ -495,6 +495,8 @@ impl MlfRl {
         // Replay minibatches, resampled by index — the `Step`s (and
         // their feature batches) stay in the buffer uncloned.
         if self.cfg.online_training && !self.imitation_buffer.is_empty() {
+            let tracer = self.tracer.clone();
+            let _span = tracer.as_ref().map(|t| obs::span!(t, imitation_train));
             for _ in 0..4 {
                 let n = 64.min(self.imitation_buffer.len());
                 self.scratch.minibatch_idx.clear();

@@ -40,10 +40,16 @@ impl EnsemblePredictor {
         if points.len() < Self::MIN_POINTS {
             return None;
         }
-        let fits: Vec<FittedCurve> = CurveFamily::ALL
-            .iter()
-            .map(|&f| fit_family(f, points))
-            .collect();
+        Some(Self::from_fits(
+            CurveFamily::ALL
+                .iter()
+                .map(|&f| fit_family(f, points))
+                .collect(),
+        ))
+    }
+
+    /// Weight fitted families into an ensemble.
+    pub(crate) fn from_fits(fits: Vec<FittedCurve>) -> Self {
         // Inverse-MSE weights with a floor to avoid division blow-ups.
         let raw: Vec<f64> = fits.iter().map(|f| 1.0 / (f.mse + 1e-9)).collect();
         let total: f64 = raw.iter().sum();
@@ -54,11 +60,11 @@ impl EnsemblePredictor {
             .map(|(f, w)| w * f.mse)
             .sum::<f64>()
             .sqrt();
-        Some(EnsemblePredictor {
+        EnsemblePredictor {
             fits,
             weights,
             residual_rmse,
-        })
+        }
     }
 
     /// Predict accuracy at `iteration`.

@@ -117,11 +117,11 @@ impl FeatureBatch {
 /// high-water mark and are then reused, so steady-state batched
 /// inference performs zero heap allocation.
 ///
-/// Lifecycle contract: [`crate::Mlp::forward_batch`] fills `acts`
-/// (one buffer per layer, `rows × layer_width`, plus the cached
-/// input) and [`crate::Mlp::backprop_batch`] consumes them — so a
-/// backward pass must directly follow the forward pass for the same
-/// batch on the same workspace.
+/// Lifecycle contract: [`crate::Mlp::forward_batch_cached`] fills
+/// `acts` (one buffer per layer, `rows × layer_width`) and
+/// [`crate::Mlp::backprop_batch`] consumes them, reading the input
+/// layer from the batch itself — so a backward pass must directly
+/// follow the forward pass for the same batch on the same workspace.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Per-layer activated outputs, row-major (`acts[l]` is

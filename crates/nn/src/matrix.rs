@@ -100,73 +100,19 @@ impl Matrix {
         y
     }
 
-    /// Batched `matvec`: `out = X · selfᵀ` for a row-major batch `x`
-    /// of `rows` vectors (each `cols` long); `out` must hold
-    /// `rows × self.rows` elements. Each output element accumulates
-    /// its products in the exact ascending-column order
-    /// [`Matrix::matvec`] uses, so results are bit-identical to `rows`
-    /// independent `matvec` calls. The speedup: 4 output elements are
-    /// computed per pass, giving 4 independent accumulation chains
-    /// that hide FP-add latency — `matvec`'s single chain serialises
-    /// on it — while `out` is a caller-reused buffer, so the hot path
-    /// never allocates.
-    pub fn matmul_into(&self, x: &[f64], rows: usize, out: &mut [f64]) {
-        assert_eq!(x.len(), rows * self.cols, "matmul_into input mismatch");
-        assert_eq!(out.len(), rows * self.rows, "matmul_into output mismatch");
-        let (out_dim, cols) = (self.rows, self.cols);
-        for r in 0..rows {
-            let xr = &x[r * cols..(r + 1) * cols];
-            let out_row = &mut out[r * out_dim..(r + 1) * out_dim];
-            let mut o = 0;
-            while o + 4 <= out_dim {
-                let w0 = &self.data[o * cols..(o + 1) * cols];
-                let w1 = &self.data[(o + 1) * cols..(o + 2) * cols];
-                let w2 = &self.data[(o + 2) * cols..(o + 3) * cols];
-                let w3 = &self.data[(o + 3) * cols..(o + 4) * cols];
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-                for (c, &xc) in xr.iter().enumerate() {
-                    a0 += w0[c] * xc;
-                    a1 += w1[c] * xc;
-                    a2 += w2[c] * xc;
-                    a3 += w3[c] * xc;
-                }
-                out_row[o] = a0;
-                out_row[o + 1] = a1;
-                out_row[o + 2] = a2;
-                out_row[o + 3] = a3;
-                o += 4;
-            }
-            for y in &mut out_row[o..] {
-                let w_row = &self.data[o * cols..(o + 1) * cols];
-                let mut acc = 0.0;
-                for (a, b) in w_row.iter().zip(xr) {
-                    acc += a * b;
-                }
-                *y = acc;
-                o += 1;
-            }
-        }
-    }
-
     /// Batched `matvec_t`: `out = X · self` for a row-major batch `x`
     /// of `rows` vectors (each `self.rows` long); `out` must hold
     /// `rows × self.cols` elements. Accumulation order per output
     /// element matches [`Matrix::matvec_t`] exactly (weight rows in
-    /// ascending order), so results are bit-identical.
+    /// ascending order), so results are bit-identical. A row-major
+    /// `out_dim × in_dim` matrix is the column-major layout of its
+    /// transpose, so this is `matmul_pretransposed` on the weights
+    /// as stored: eight outputs per register tile, each reading its
+    /// weight rows in ascending order.
     pub fn matmul_t_into(&self, x: &[f64], rows: usize, out: &mut [f64]) {
         assert_eq!(x.len(), rows * self.rows, "matmul_t_into input mismatch");
         assert_eq!(out.len(), rows * self.cols, "matmul_t_into output mismatch");
-        for r in 0..rows {
-            let xr = &x[r * self.rows..(r + 1) * self.rows];
-            let out_row = &mut out[r * self.cols..(r + 1) * self.cols];
-            out_row.iter_mut().for_each(|v| *v = 0.0);
-            for (o, &xo) in xr.iter().enumerate() {
-                let w_row = &self.data[o * self.cols..(o + 1) * self.cols];
-                for (y, a) in out_row.iter_mut().zip(w_row) {
-                    *y += a * xo;
-                }
-            }
-        }
+        matmul_pretransposed(&self.data, self.rows, self.cols, x, rows, out, |_, v| v);
     }
 
     /// Write this matrix column-major into `out` (`out[c * rows + r] =
@@ -192,6 +138,45 @@ impl Matrix {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
             for (c, e) in row.iter_mut().enumerate() {
                 *e += ur * v[c];
+            }
+        }
+    }
+
+    /// `self += Σ_r u_r ⊗ v_r` over a row-major batch: `u` holds `rows`
+    /// vectors of length `self.rows`, `v` holds `rows` vectors of
+    /// length `self.cols`. Each element adds its `rows` products in
+    /// ascending `r`, the order of `rows` sequential
+    /// [`Matrix::add_outer`] calls with `k = 1`, so the result is
+    /// bit-identical to them. Four rows are folded into each pass over
+    /// a matrix row, so it is loaded and stored once per four rows.
+    pub fn add_outer_rows(&mut self, u: &[f64], v: &[f64], rows: usize) {
+        assert_eq!(u.len(), rows * self.rows, "add_outer_rows u shape");
+        assert_eq!(v.len(), rows * self.cols, "add_outer_rows v shape");
+        let (out_dim, cols) = (self.rows, self.cols);
+        for o in 0..out_dim {
+            let g = &mut self.data[o * cols..(o + 1) * cols];
+            let mut r = 0;
+            while r + 4 <= rows {
+                let (x0, rest) = v[r * cols..(r + 4) * cols].split_at(cols);
+                let (x1, rest) = rest.split_at(cols);
+                let (x2, x3) = rest.split_at(cols);
+                let d = |k: usize| u[(r + k) * out_dim + o];
+                let (d0, d1, d2, d3) = (d(0), d(1), d(2), d(3));
+                for ((((e, b0), b1), b2), b3) in g.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+                    let mut acc = *e;
+                    acc += d0 * b0;
+                    acc += d1 * b1;
+                    acc += d2 * b2;
+                    acc += d3 * b3;
+                    *e = acc;
+                }
+                r += 4;
+            }
+            for r in r..rows {
+                let d = u[r * out_dim + o];
+                for (e, x) in g.iter_mut().zip(&v[r * cols..(r + 1) * cols]) {
+                    *e += d * x;
+                }
             }
         }
     }
@@ -309,16 +294,6 @@ mod tests {
         a.add_scaled(&b, 2.0);
         assert_eq!(a.get(0, 0), 2.0);
         assert_eq!(a.get(1, 1), 4.0);
-    }
-
-    #[test]
-    fn matmul_into_matches_per_row_matvec() {
-        let m = Matrix::from_fn(3, 2, |r, c| (r * 2 + c + 1) as f64);
-        let x = [1.0, 10.0, -2.0, 0.5];
-        let mut out = vec![0.0; 2 * 3];
-        m.matmul_into(&x, 2, &mut out);
-        assert_eq!(&out[..3], m.matvec(&x[..2]).as_slice());
-        assert_eq!(&out[3..], m.matvec(&x[2..]).as_slice());
     }
 
     #[test]

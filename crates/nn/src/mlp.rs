@@ -218,43 +218,6 @@ impl Mlp {
         Gradients::zeros_like(self)
     }
 
-    /// Batched forward pass over all rows of `batch`, caching every
-    /// layer's activated output in `ws` (required by
-    /// [`Mlp::backprop_batch`]). Returns the output logits, row-major
-    /// (`rows × output_dim`), borrowed from the workspace.
-    ///
-    /// Each row's arithmetic replays [`Mlp::forward`] exactly (same
-    /// dot-product accumulation order, same bias/activation fusion),
-    /// so the logits are bit-identical to per-sample calls — the win
-    /// is zero steady-state allocation and one dense weight walk per
-    /// layer instead of per candidate.
-    pub fn forward_batch<'w>(&self, batch: &FeatureBatch, ws: &'w mut Workspace) -> &'w [f64] {
-        assert_eq!(batch.dim(), self.input_dim(), "batch dim mismatch");
-        let rows = batch.rows();
-        ws.ensure_layers(self.layers.len());
-        ws.rows = rows;
-        for (li, l) in self.layers.iter().enumerate() {
-            let (done, rest) = ws.acts.split_at_mut(li);
-            let input: &[f64] = if li == 0 {
-                batch.as_slice()
-            } else {
-                &done[li - 1]
-            };
-            let out_dim = l.w.rows();
-            let cur = &mut rest[0];
-            cur.resize(rows * out_dim, 0.0);
-            l.w.matmul_into(input, rows, cur);
-            for row in cur.chunks_exact_mut(out_dim) {
-                for (z, b) in row.iter_mut().zip(&l.b) {
-                    *z = l.act.apply(*z + b);
-                }
-            }
-        }
-        let n = self.layers.len();
-        assert!(n > 0, "Mlp has no layers");
-        &ws.acts[n - 1]
-    }
-
     /// Rebuild `tw` as a column-major copy of this network's weights
     /// and mark it valid.
     pub fn refresh_transposed(&self, tw: &mut TransposedWeights) {
@@ -265,11 +228,18 @@ impl Mlp {
         tw.valid = true;
     }
 
-    /// [`Mlp::forward_batch`] reading weights from a cached transposed
-    /// copy (see [`TransposedWeights`]): same activations cached in
-    /// `ws`, same bit-identical logits, but the GEMM inner loop reads
-    /// weights contiguously and vectorises — roughly twice as fast at
-    /// inference shapes. Callers must keep `tw` in sync with the
+    /// Batched forward pass over all rows of `batch`, reading weights
+    /// from a cached transposed copy (see [`TransposedWeights`]) and
+    /// caching every layer's activated output in `ws` (required by
+    /// [`Mlp::backprop_batch`]). Returns the output logits, row-major
+    /// (`rows × output_dim`), borrowed from the workspace.
+    ///
+    /// Each row's arithmetic replays [`Mlp::forward`] exactly (same
+    /// dot-product accumulation order, same bias/activation fusion),
+    /// so the logits are bit-identical to per-sample calls. The GEMM
+    /// inner loop reads the transposed weights contiguously and
+    /// vectorises, and the workspace makes the steady state
+    /// allocation-free. Callers must keep `tw` in sync with the
     /// weights (refresh after any mutation); passing a stale or
     /// foreign cache panics on shape mismatch but silently computes
     /// with old weights otherwise — hence the `is_valid` discipline.
@@ -296,8 +266,8 @@ impl Mlp {
             let cur = &mut rest[0];
             cur.resize(rows * out_dim, 0.0);
             // Bias + activation fused into the kernel's tile store —
-            // same per-element `act(z + b)` as the uncached path, one
-            // less pass over the activation buffer.
+            // the same per-element `act(z + b)` as `forward`, with no
+            // second pass over the activation buffer.
             matmul_pretransposed(
                 &tw.layers[li],
                 l.w.cols(),
@@ -316,13 +286,17 @@ impl Mlp {
     /// Batched backward pass: accumulate gradients for every row of
     /// `batch`, given `dloss_dout` (row-major `rows × output_dim`)
     /// w.r.t. the logits. Must directly follow a
-    /// [`Mlp::forward_batch`] for the same batch on the same
+    /// [`Mlp::forward_batch_cached`] for the same batch on the same
     /// workspace — the cached per-layer activations are consumed here.
     ///
     /// Per-element accumulation into `grads` happens in row order, the
     /// same order `rows` sequential [`Mlp::backprop`] calls would use,
     /// so the resulting gradients are bit-identical to the per-sample
-    /// path. `grads.samples` grows by `rows`.
+    /// path: the weight gradient folds four rows into each pass over a
+    /// gradient row ([`Matrix::add_outer_rows`]) and δ propagates
+    /// through the forward pass's tile kernel, and neither changes the
+    /// order of the additions into any element. `grads.samples` grows
+    /// by `rows`.
     pub fn backprop_batch(
         &self,
         batch: &FeatureBatch,
@@ -346,17 +320,16 @@ impl Mlp {
             for (d, y) in ws.delta.iter_mut().zip(out_acts) {
                 *d *= l.act.derivative_from_output(*y);
             }
-            // dW += δ_r ⊗ input_r and db += δ_r, in row order (the
-            // per-sample accumulation order).
+            // dW += Σ_r δ_r ⊗ input_r and db += Σ_r δ_r, each element
+            // summed in row order (the per-sample accumulation order).
             let input: &[f64] = if li == 0 {
                 batch.as_slice()
             } else {
                 &ws.acts[li - 1]
             };
+            grads.dw[li].add_outer_rows(&ws.delta, input, rows);
             for r in 0..rows {
                 let d_row = &ws.delta[r * out_dim..(r + 1) * out_dim];
-                let in_row = &input[r * in_dim..(r + 1) * in_dim];
-                grads.dw[li].add_outer(d_row, in_row, 1.0);
                 for (g, d) in grads.db[li].iter_mut().zip(d_row) {
                     *g += d;
                 }
@@ -421,6 +394,14 @@ impl Mlp {
             f(&mut l.b, db);
         }
     }
+}
+
+/// [`Mlp::forward_batch_cached`] on a freshly built transpose cache.
+#[cfg(test)]
+fn forward_fresh<'w>(net: &Mlp, batch: &FeatureBatch, ws: &'w mut Workspace) -> &'w [f64] {
+    let mut tw = TransposedWeights::new();
+    net.refresh_transposed(&mut tw);
+    net.forward_batch_cached(batch, ws, &tw)
 }
 
 #[cfg(test)]
@@ -535,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_is_bit_identical_to_per_sample() {
+    fn forward_batch_cached_is_bit_identical_to_per_sample() {
         let mut rng = SimRng::new(9);
         let net = Mlp::new(&[5, 12, 7, 2], Activation::Relu, &mut rng);
         let mut batch = FeatureBatch::new(5);
@@ -544,7 +525,7 @@ mod tests {
             batch.push(&row);
         }
         let mut ws = Workspace::new();
-        let logits = net.forward_batch(&batch, &mut ws).to_vec();
+        let logits = forward_fresh(&net, &batch, &mut ws).to_vec();
         for r in 0..batch.rows() {
             let per_sample = net.forward(batch.row(r));
             // Same op order per row ⇒ exactly equal, not just close.
@@ -554,29 +535,33 @@ mod tests {
 
     #[test]
     fn backprop_batch_is_bit_identical_to_per_sample() {
+        // Every row count 1–9 against widths 6, 9, 7, 3: each kernel's
+        // four-row blocks and every remainder length run.
         let mut rng = SimRng::new(13);
-        let net = Mlp::new(&[4, 9, 3], Activation::Tanh, &mut rng);
-        let mut batch = FeatureBatch::new(4);
-        let mut dloss = Vec::new();
-        for i in 0..5 {
-            let row: Vec<f64> = (0..4).map(|d| ((i * 4 + d) as f64 * 0.3).cos()).collect();
-            batch.push(&row);
-            dloss.extend((0..3).map(|d| ((i * 3 + d) as f64 * 0.7).sin()));
-        }
-        let mut g_batch = net.zero_grads();
-        let mut ws = Workspace::new();
-        net.forward_batch(&batch, &mut ws);
-        net.backprop_batch(&batch, &dloss, &mut g_batch, &mut ws);
-        let mut g_ref = net.zero_grads();
-        for r in 0..batch.rows() {
-            net.backprop(batch.row(r), &dloss[r * 3..(r + 1) * 3], &mut g_ref);
-        }
-        assert_eq!(g_batch.samples, g_ref.samples);
-        for (a, b) in g_batch.dw.iter().zip(&g_ref.dw) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-        for (a, b) in g_batch.db.iter().zip(&g_ref.db) {
-            assert_eq!(a, b);
+        let net = Mlp::new(&[6, 9, 7, 3], Activation::Tanh, &mut rng);
+        for rows in 1..=9 {
+            let mut batch = FeatureBatch::new(6);
+            let mut dloss = Vec::new();
+            for i in 0..rows {
+                let row: Vec<f64> = (0..6).map(|d| ((i * 6 + d) as f64 * 0.3).cos()).collect();
+                batch.push(&row);
+                dloss.extend((0..3).map(|d| ((i * 3 + d) as f64 * 0.7).sin()));
+            }
+            let mut g_batch = net.zero_grads();
+            let mut ws = Workspace::new();
+            forward_fresh(&net, &batch, &mut ws);
+            net.backprop_batch(&batch, &dloss, &mut g_batch, &mut ws);
+            let mut g_ref = net.zero_grads();
+            for r in 0..batch.rows() {
+                net.backprop(batch.row(r), &dloss[r * 3..(r + 1) * 3], &mut g_ref);
+            }
+            assert_eq!(g_batch.samples, g_ref.samples);
+            for (a, b) in g_batch.dw.iter().zip(&g_ref.dw) {
+                assert_eq!(a.as_slice(), b.as_slice(), "{rows} rows");
+            }
+            for (a, b) in g_batch.db.iter().zip(&g_ref.db) {
+                assert_eq!(a, b, "{rows} rows");
+            }
         }
     }
 
@@ -594,9 +579,11 @@ mod tests {
         assert!(!tw.is_valid());
         net.refresh_transposed(&mut tw);
         assert!(tw.is_valid());
+        let per_sample = |net: &Mlp| -> Vec<f64> {
+            batch.iter_rows().flat_map(|row| net.forward(row)).collect()
+        };
         let cached = net.forward_batch_cached(&batch, &mut ws, &tw).to_vec();
-        let direct = net.forward_batch(&batch, &mut ws).to_vec();
-        assert_eq!(cached, direct);
+        assert_eq!(cached, per_sample(&net));
         // After a weight update the refreshed cache must track it.
         let mut g = net.zero_grads();
         net.backprop(batch.row(0), &[0.3, -0.2], &mut g);
@@ -604,8 +591,7 @@ mod tests {
         tw.invalidate();
         net.refresh_transposed(&mut tw);
         let cached2 = net.forward_batch_cached(&batch, &mut ws, &tw).to_vec();
-        let direct2 = net.forward_batch(&batch, &mut ws).to_vec();
-        assert_eq!(cached2, direct2);
+        assert_eq!(cached2, per_sample(&net));
         assert_ne!(cached, cached2, "update must change the logits");
     }
 
@@ -630,9 +616,9 @@ mod tests {
             6,
             &(0..9).map(|i| vec![i as f64 * 0.1; 6]).collect::<Vec<_>>(),
         );
-        let s1 = small.forward_batch(&b1, &mut ws).to_vec();
-        let s2 = big.forward_batch(&b2, &mut ws).to_vec();
-        let s1_again = small.forward_batch(&b1, &mut ws).to_vec();
+        let s1 = forward_fresh(&small, &b1, &mut ws).to_vec();
+        let s2 = forward_fresh(&big, &b2, &mut ws).to_vec();
+        let s1_again = forward_fresh(&small, &b1, &mut ws).to_vec();
         assert_eq!(s1, s1_again);
         assert_eq!(s2.len(), 9 * 2);
     }
@@ -645,7 +631,7 @@ mod tests {
         let b1 = FeatureBatch::from_rows(2, &[vec![0.1, 0.2], vec![0.3, 0.4]]);
         let b2 = FeatureBatch::from_rows(2, &[vec![0.5, 0.6]]);
         let mut ws = Workspace::new();
-        net.forward_batch(&b1, &mut ws);
+        forward_fresh(&net, &b1, &mut ws);
         let mut g = net.zero_grads();
         net.backprop_batch(&b2, &[1.0], &mut g, &mut ws);
     }
@@ -723,11 +709,11 @@ mod proptests {
             );
         }
 
-        /// Batched forward matches per-sample forward on random
-        /// shapes, activations and batch sizes (tentpole invariant:
-        /// the GEMM path may not change a single decision).
+        /// Batched forward matches per-sample forward bit for bit on
+        /// random shapes, activations and batch sizes (the GEMM path
+        /// may not change a single decision).
         #[test]
-        fn forward_batch_matches_per_sample(
+        fn forward_batch_cached_matches_per_sample(
             seed in 0u64..10_000,
             hidden in 1usize..16,
             inputs in 1usize..8,
@@ -744,29 +730,33 @@ mod proptests {
                 batch.push(&row);
             }
             let mut ws = Workspace::new();
-            let logits = net.forward_batch(&batch, &mut ws).to_vec();
+            let logits = forward_fresh(&net, &batch, &mut ws).to_vec();
             for r in 0..rows {
                 let reference = net.forward(batch.row(r));
                 for (a, b) in logits[r * outputs..(r + 1) * outputs].iter().zip(&reference) {
-                    prop_assert!((a - b).abs() <= 1e-12, "row {r}: {a} vs {b}");
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "row {r}: {a} vs {b}");
                 }
             }
         }
 
-        /// Batched backprop accumulates the same gradients as N
-        /// per-sample backprops, on random shapes.
+        /// Batched backprop accumulates the same gradients, bit for
+        /// bit, as N per-sample backprops. Row counts 1–9 and layer
+        /// widths that are not multiples of 4 run both the four-row
+        /// blocks and the remainder loops of the gradient and the
+        /// propagation kernels.
         #[test]
         fn backprop_batch_matches_per_sample(
             seed in 0u64..10_000,
-            hidden in 1usize..12,
-            inputs in 1usize..6,
-            outputs in 1usize..4,
-            rows in 1usize..7,
+            inputs in 1usize..11,
+            hidden1 in 1usize..14,
+            hidden2 in 1usize..14,
+            outputs in 1usize..7,
+            rows in 1usize..10,
             tanh in any::<bool>(),
         ) {
             let mut rng = SimRng::new(seed);
             let act = if tanh { Activation::Tanh } else { Activation::Relu };
-            let net = Mlp::new(&[inputs, hidden, outputs], act, &mut rng);
+            let net = Mlp::new(&[inputs, hidden1, hidden2, outputs], act, &mut rng);
             let mut batch = FeatureBatch::new(inputs);
             let mut dloss = Vec::new();
             for _ in 0..rows {
@@ -775,7 +765,7 @@ mod proptests {
                 dloss.extend((0..outputs).map(|_| rng.range_f64(-1.0, 1.0)));
             }
             let mut ws = Workspace::new();
-            net.forward_batch(&batch, &mut ws);
+            forward_fresh(&net, &batch, &mut ws);
             let mut g_batch = net.zero_grads();
             net.backprop_batch(&batch, &dloss, &mut g_batch, &mut ws);
             let mut g_ref = net.zero_grads();
@@ -789,7 +779,7 @@ mod proptests {
             probe.visit_params_mut(&g_batch, |_, g| flat_batch.extend_from_slice(g));
             probe.visit_params_mut(&g_ref, |_, g| flat_ref.extend_from_slice(g));
             for (k, (a, b)) in flat_batch.iter().zip(&flat_ref).enumerate() {
-                prop_assert!((a - b).abs() <= 1e-12, "param {k}: {a} vs {b}");
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "param {k}: {a} vs {b}");
             }
         }
 

@@ -533,7 +533,9 @@ pub fn intern_reason(s: &str) -> &'static str {
         "finalize",
         "mlfh_plan",
         "imitation_round",
+        "imitation_train",
         "rl_round",
+        "mlfc_control",
         "control",
         "evicted",
         "crash",

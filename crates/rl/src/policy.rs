@@ -21,7 +21,7 @@ thread_local! {
 /// Candidates are passed as a flat row-major [`FeatureBatch`]; one
 /// batched GEMM-style forward computes every candidate's logit (the
 /// scores are bit-identical to per-candidate `Mlp::forward` calls —
-/// see `nn::Mlp::forward_batch`).
+/// see `nn::Mlp::forward_batch_cached`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScoringPolicy {
     net: Mlp,
@@ -86,8 +86,13 @@ impl ScoringPolicy {
 
     /// Batched forward through the cached vectorised kernel,
     /// refreshing the transposed weights if a trainer update
-    /// invalidated them.
-    fn forward_cached<'w>(&self, candidates: &FeatureBatch, ws: &'w mut Workspace) -> &'w [f64] {
+    /// invalidated them. The layer activations stay in `ws`, ready
+    /// for `Mlp::backprop_batch`.
+    pub(crate) fn forward_cached<'w>(
+        &self,
+        candidates: &FeatureBatch,
+        ws: &'w mut Workspace,
+    ) -> &'w [f64] {
         let mut tw = self.tw.0.borrow_mut();
         if !tw.is_valid() {
             self.net.refresh_transposed(&mut tw);

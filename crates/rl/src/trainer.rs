@@ -193,14 +193,16 @@ impl ReinforceTrainer {
 
     /// Batched forward over a step's candidates, leaving the softmax
     /// distribution in `self.probs` and the layer activations in
-    /// `self.ws` (ready for `backprop_batch`).
+    /// `self.ws` (ready for `backprop_batch`). It runs on the policy's
+    /// cached transposed weights, which `net_mut` invalidates after
+    /// each optimizer step, so one update refreshes them once.
     fn forward_step_probs(
         policy: &ScoringPolicy,
         ws: &mut Workspace,
         probs: &mut Vec<f64>,
         step: &Step,
     ) {
-        let logits = policy.net().forward_batch(&step.candidates, ws);
+        let logits = policy.forward_cached(&step.candidates, ws);
         probs.clear();
         probs.extend_from_slice(logits);
         softmax_in_place(probs);
@@ -517,6 +519,68 @@ mod tests {
         // Repeated indices are allowed (replay-style resampling).
         let resample = [0usize, 0, 3, 15, 3];
         b.imitate_indices(&steps, &resample);
+    }
+
+    /// FNV-1a over the bit patterns of every policy parameter, then of
+    /// the returned losses and episode returns.
+    fn training_fingerprint(t: &mut ReinforceTrainer, outputs: &[f64]) -> u64 {
+        let mut bits = Vec::new();
+        let g = t.policy.net().zero_grads();
+        t.policy.net_mut().visit_params_mut(&g, |params, _| {
+            bits.extend(params.iter().map(|v| v.to_bits()))
+        });
+        bits.extend(outputs.iter().map(|v| v.to_bits()));
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in bits.iter().flat_map(|b| b.to_le_bytes()) {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Pins the training numerics bit for bit. The scheduler
+    /// fingerprints only see decisions, so a kernel change that drifts
+    /// the weights by an ulp could hide behind them; this one cannot.
+    /// The policy has MLF-RL's shape (21 → 64 → 32 → 1) and candidate
+    /// sets of 1–13 rows, so every row-count remainder of the batched
+    /// kernels runs, and single-candidate steps are skipped as in MLFS.
+    #[test]
+    fn training_weights_are_pinned() {
+        let mut rng = SimRng::new(2024);
+        let policy = ScoringPolicy::new(21, &[64, 32], &mut rng);
+        let mut trainer = ReinforceTrainer::new(policy, TrainerConfig::default());
+        let make_step = |rng: &mut SimRng| {
+            let rows = 1 + rng.index(13);
+            let mut candidates = FeatureBatch::new(21);
+            for _ in 0..rows {
+                let row: Vec<f64> = (0..21).map(|_| rng.range_f64(-1.0, 1.0)).collect();
+                candidates.push(&row);
+            }
+            let action = rng.index(rows);
+            Step { candidates, action }
+        };
+        let buffer: Vec<Step> = (0..160).map(|_| make_step(&mut rng)).collect();
+        let mut outputs = Vec::new();
+        for _ in 0..6 {
+            for _ in 0..4 {
+                let idx: Vec<usize> = (0..64).map(|_| rng.index(buffer.len())).collect();
+                outputs.push(trainer.imitate_indices(&buffer, &idx));
+            }
+        }
+        for _ in 0..5 {
+            let episode: Vec<(Step, f64)> = (0..16)
+                .map(|_| {
+                    let step = make_step(&mut rng);
+                    (step, rng.range_f64(-1.0, 1.0))
+                })
+                .collect();
+            outputs.push(trainer.train_episode(&episode));
+        }
+        assert_eq!(
+            training_fingerprint(&mut trainer, &outputs),
+            0xbb52_8b53_4b50_6b81,
+            "training numerics drifted"
+        );
     }
 
     #[test]
