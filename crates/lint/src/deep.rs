@@ -15,11 +15,9 @@
 //!   reach a `panic!`-family macro, `.unwrap()`/`.expect()`, or
 //!   hot-tier slice indexing? Reported with the shortest witness call
 //!   chain, rustc-style.
-//! * **`deep-fp-reduction`** — float-accumulation hazards: compound
-//!   accumulation or order-sensitive reductions inside `par_map`
-//!   closures (thread count changes grouping), and reductions chained
-//!   onto unordered-collection iteration (seed changes order). This
-//!   pass is intra-procedural; the sources are already precise.
+//! * **`deep-fp-reduction`** — float-accumulation hazards: reductions
+//!   chained onto unordered-collection iteration (seed changes order).
+//!   This pass is intra-procedural; the sources are already precise.
 //!
 //! Findings are anchored at the **seed** line, so the existing
 //! `lint:allow` escape hatch works unchanged: an allow for either the
@@ -156,7 +154,7 @@ pub fn analyze(files: &[ParsedFile]) -> DeepReport {
                 continue;
             }
             for s in &f.sources {
-                if matches!(s.kind, SourceKind::ParMapAccum | SourceKind::HashReduce) {
+                if s.kind == SourceKind::HashReduce {
                     out.push((
                         Finding {
                             file: pf.file.clone(),
@@ -164,10 +162,10 @@ pub fn analyze(files: &[ParsedFile]) -> DeepReport {
                             col: s.col,
                             rule: "deep-fp-reduction",
                             message: format!(
-                                "{} in `{}`: operand grouping depends on thread \
-                                 count or collection order, so float results are \
-                                 not reproducible; accumulate per-item results in \
-                                 a fixed order instead",
+                                "{} in `{}`: operand grouping depends on \
+                                 collection order, so float results are not \
+                                 reproducible; accumulate per-item results in a \
+                                 fixed order instead",
                                 s.what,
                                 qualified(&f.name, f.owner.as_deref()),
                             ),
@@ -440,9 +438,8 @@ mod tests {
     fn seam_contains_fp_reduction() {
         let r = run(&[(
             DET,
-            "// lint:seam(deep-fp-reduction) reason=\"per-item results are re-reduced in index order by the caller\"\n\
-             fn f(v: &[f64]) -> f64 { let mut acc = 0.0; \
-             simcore::par_map(v, 4, |_, x| { acc += x; 0.0 }); acc }\n",
+            "// lint:seam(deep-fp-reduction) reason=\"the caller only compares the total against zero\"\n\
+             fn f(m: &HashMap<u32, f64>) -> f64 { m.values().sum() }\n",
         )]);
         assert!(r.findings.iter().all(|f| f.rule != "deep-fp-reduction"));
     }
@@ -458,11 +455,10 @@ mod tests {
     }
 
     #[test]
-    fn fp_reduction_in_par_map() {
+    fn fp_reduction_on_hash_iteration() {
         let r = run(&[(
             DET,
-            "fn f(v: &[f64]) -> f64 { let mut acc = 0.0; \
-             simcore::par_map(v, 4, |_, x| { acc += x; 0.0 }); acc }\n",
+            "fn f(m: &HashMap<u32, f64>) -> f64 { m.values().sum() }\n",
         )]);
         assert!(r.findings.iter().any(|f| f.rule == "deep-fp-reduction"));
     }

@@ -45,9 +45,6 @@ pub enum SourceKind {
     UnwrapExpect,
     /// `expr[..]` indexing (seeded only in hot-path-tier files).
     SliceIndex,
-    /// Accumulation (`+=`, `.sum()`, `.fold(..)`, …) inside a
-    /// `par_map` closure argument.
-    ParMapAccum,
     /// Float-style reduction chained onto unordered-collection
     /// iteration (`m.values().sum()` with a `HashMap` in scope).
     HashReduce,
@@ -370,9 +367,6 @@ fn scan_body(toks: &[Tok], sig_start: usize, start: usize, end: usize, item: &mu
                         what: format!(".{}()", t.text),
                     });
                 }
-                "par_map" if next_is(toks, k, end, '(') => {
-                    scan_par_map(toks, k + 1, end, item);
-                }
                 _ => {}
             }
             // Call expression: `ident (` that is not a keyword, macro
@@ -467,52 +461,6 @@ fn statement_has_adapter(toks: &[Tok], start: usize, k: usize) -> bool {
     false
 }
 
-/// Inside a `par_map(..)` call (starting at its `(`), flag float-style
-/// accumulation in the argument list — `+=` / `*=` compound ops and
-/// order-sensitive reduction methods. Per-cell partial results that
-/// are later combined are exactly how thread count changes float
-/// grouping.
-fn scan_par_map(toks: &[Tok], open: usize, end: usize, item: &mut FnItem) {
-    let mut depth = 0i32;
-    let mut k = open;
-    while k < end {
-        let t = &toks[k];
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if (t.is_punct('+') || t.is_punct('*'))
-            && k + 1 < end
-            && toks[k + 1].is_punct('=')
-            && toks[k + 1].line == t.line
-            && toks[k + 1].col == t.col + 1
-        {
-            item.sources.push(Source {
-                kind: SourceKind::ParMapAccum,
-                line: t.line,
-                col: t.col,
-                what: format!("`{}=` accumulation inside par_map", t.text),
-            });
-        } else if t.kind == TokKind::Ident
-            && REDUCTIONS.contains(&t.text.as_str())
-            && k > open
-            && toks[k - 1].is_punct('.')
-            && next_is(toks, k, end, '(')
-        {
-            item.sources.push(Source {
-                kind: SourceKind::ParMapAccum,
-                line: t.line,
-                col: t.col,
-                what: format!(".{}() reduction inside par_map", t.text),
-            });
-        }
-        k += 1;
-    }
-}
-
 fn next_is(toks: &[Tok], k: usize, end: usize, c: char) -> bool {
     k + 1 < end && toks[k + 1].is_punct(c)
 }
@@ -601,24 +549,6 @@ mod tests {
         let p = parse("#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }\nfn live() {}\n");
         assert_eq!(p.fns.len(), 1);
         assert_eq!(p.fns[0].name, "live");
-    }
-
-    #[test]
-    fn par_map_accumulation() {
-        let p = parse(
-            "fn f(v: &[f64]) -> f64 { let mut acc = 0.0; \
-             simcore::par_map(v, 4, |_, x| { acc += x; 0.0 }); acc }\n",
-        );
-        assert!(p.fns[0]
-            .sources
-            .iter()
-            .any(|s| s.kind == SourceKind::ParMapAccum));
-        // A pure per-item map accumulates nothing.
-        let p = parse("fn g(v: &[f64]) { simcore::par_map(v, 4, |_, x| x * 2.0); }\n");
-        assert!(!p.fns[0]
-            .sources
-            .iter()
-            .any(|s| s.kind == SourceKind::ParMapAccum));
     }
 
     #[test]

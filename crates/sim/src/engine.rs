@@ -302,10 +302,6 @@ pub struct Simulation {
     freed_servers: Vec<ServerId>,
     /// Event engine: placed tasks awaiting one batched queue purge.
     queue_tombstones: BTreeSet<TaskId>,
-    /// Worker count for the fork-join rate pass (from
-    /// `MLFS_SIM_THREADS` / available parallelism; output is
-    /// thread-count invariant).
-    sim_threads: usize,
     /// Independent RNG stream for fault injection, forked from the
     /// seed so enabling faults never perturbs straggler sampling.
     fault_rng: SimRng,
@@ -321,10 +317,6 @@ pub struct Simulation {
 
 /// Stream label for the fault-injection RNG fork.
 const FAULT_RNG_STREAM: u64 = 0xFA17;
-
-/// Running-set size below which the rate-cache rebuild stays serial
-/// (fork-join setup would cost more than it saves).
-const PAR_RATE_THRESHOLD: usize = 64;
 
 impl Simulation {
     /// Build a simulation over `specs` (any order; sorted internally).
@@ -371,7 +363,6 @@ impl Simulation {
             deadline_cal: EventQueue::new(),
             freed_servers: Vec::new(),
             queue_tombstones: BTreeSet::new(),
-            sim_threads: simcore::sim_threads(),
             fault_rng,
             next_scheduled_fault: 0,
             recoveries: Vec::new(),
@@ -888,27 +879,14 @@ impl Simulation {
         Some(CachedRate { rate: r, gpu_share })
     }
 
-    /// (Re)build the per-window rate cache over the running set. The
-    /// per-job computation is pure, so large sets fan out over
-    /// deterministic fork-join cells ([`simcore::par_map`]); results
-    /// merge in the running set's id order regardless of thread count.
+    /// (Re)build the per-window rate cache over the running set, in
+    /// ascending id order.
     fn rebuild_rate_cache(&mut self) {
-        let ids: Vec<JobId> = self.running.iter().copied().collect();
-        let threads = if ids.len() >= PAR_RATE_THRESHOLD {
-            self.sim_threads
-        } else {
-            1
-        };
-        let entries = {
-            let this: &Simulation = self;
-            simcore::par_map(&ids, threads, |_, &id| this.cached_rate_for(id))
-        };
-        self.rate_cache.clear();
-        for (id, e) in ids.iter().zip(entries) {
-            if let Some(e) = e {
-                self.rate_cache.insert(*id, e);
-            }
-        }
+        self.rate_cache = self
+            .running
+            .iter()
+            .filter_map(|&id| Some((id, self.cached_rate_for(id)?)))
+            .collect();
     }
 
     /// Event-driven advancement. Observably identical to
@@ -988,9 +966,7 @@ impl Simulation {
             // set, ascending id — the order the naive loop visits
             // these jobs in (idle jobs contribute exact no-ops there).
             let mut finished_now: Vec<JobId> = Vec::new();
-            let steps: Vec<(JobId, CachedRate)> =
-                self.rate_cache.iter().map(|(&id, &c)| (id, c)).collect();
-            for (id, c) in steps {
+            for (&id, c) in &self.rate_cache {
                 self.metrics.gpu_hours_total += c.gpu_share * dt_secs / 3600.0;
                 if c.rate.iters_per_sec > 0.0 {
                     let Some(j) = self.jobs.get_mut(&id) else {
@@ -2125,22 +2101,12 @@ mod tests {
     }
 
     #[test]
-    fn rate_pass_is_thread_count_invariant() {
-        // Enough concurrent jobs to push the running set past
-        // PAR_RATE_THRESHOLD, so the fork-join path actually runs.
-        let cfg = SimConfig {
-            cluster: ClusterConfig {
-                servers: 40,
-                gpus_per_server: 4,
-                gpu_capacity: 1.0,
-                cpu_cores: 32.0,
-                memory_gb: 244.0,
-                nic_mbps: 1250.0,
-                topology: cluster::Topology::default_flat(),
-            },
-            max_time: SimDuration::from_hours(24 * 14),
-            ..Default::default()
-        };
+    fn event_engine_matches_naive_with_large_running_set() {
+        // 150 jobs arriving within an hour on 160 GPUs: the running
+        // set peaks above 70 jobs, far larger than in the other
+        // fixtures.
+        let mut cfg = tiny_cfg();
+        cfg.cluster.servers = 40;
         let specs = TraceGenerator::new(TraceConfig {
             jobs: 150,
             span: SimDuration::from_hours(1),
@@ -2156,16 +2122,8 @@ mod tests {
             seed: 13,
         })
         .generate();
-        let mk = |threads: usize| {
-            let mut sim = Simulation::new(cfg.clone(), specs.clone());
-            sim.sim_threads = threads;
-            let mut sched = mlfs::Mlfs::heuristic(Params::default());
-            fingerprint(sim.run(&mut sched))
-        };
-        let serial = mk(1);
-        for threads in [2, 5] {
-            assert_eq!(serial, mk(threads), "threads={threads}");
-        }
+        let (naive, event) = run_both_engines(cfg, specs);
+        assert_eq!(naive, event);
     }
 
     proptest::proptest! {

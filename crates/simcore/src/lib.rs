@@ -12,9 +12,6 @@
 //!   simulator needs randomness. We deliberately avoid `thread_rng` so
 //!   that every experiment is reproducible from its seed.
 //! * [`Clock`] — the simulation clock, advanced only by the engine.
-//! * [`forkjoin`] — deterministic fork-join parallelism: pure maps over
-//!   index-ordered cells, merged in fixed order so the output is
-//!   bit-identical for every thread count.
 //!
 //! The engine itself is generic over the event payload; the `sim` crate
 //! instantiates it with cluster events (arrivals, ticks, completions).
@@ -23,12 +20,10 @@
 // non-test code only) and structurally by `cargo run -p mlfs-lint`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod forkjoin;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use forkjoin::{par_map, sim_threads};
 pub use queue::{EventEntry, EventQueue};
 pub use rng::SimRng;
 pub use time::{Clock, SimDuration, SimTime};
