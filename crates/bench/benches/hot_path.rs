@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the inner-loop pieces of a scheduling
-//! decision, measured in isolation on the same 60-job snapshot the
-//! `scheduler_overhead` bench uses:
+//! decision, measured in isolation on one mid-run 60-job snapshot
+//! (`mlfs_bench::snapshot`):
 //!
 //! * `select_host` — one RIAL ideal-point host selection for the first
 //!   queued task that has a feasible host, on a plain `Cluster`

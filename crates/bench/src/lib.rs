@@ -3,8 +3,9 @@
 //! One binary per paper figure (see `src/bin/`): each runs the exact
 //! experiment configuration of `mlfs_sim::experiments`, prints the
 //! series/rows the paper plots, and optionally dumps raw JSON under
-//! `results/`. The Criterion bench (`benches/scheduler_overhead.rs`)
-//! cross-checks Fig. 4h's decision-time measurements.
+//! `results/`. Fig. 4h's decision times are measured in situ: the
+//! engine times every `schedule()` call, and panel (h) of `fig4` and
+//! `fig5` prints them.
 //!
 //! All binaries accept the common flags parsed by [`Args`]:
 //!
@@ -244,40 +245,6 @@ pub fn dump_json(cells: &[Cell], dir: &str, figure: &str) -> std::io::Result<()>
         }
     }
     Ok(())
-}
-
-/// Dump a panel as CSV (one row per scheduler, one column per x) for
-/// plotting.
-pub fn dump_csv(
-    cells: &[Cell],
-    names: &[&str],
-    xs: &[f64],
-    path: &str,
-    value: impl Fn(&RunMetrics) -> f64,
-) -> std::io::Result<()> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut out = String::from("scheduler");
-    for &x in xs {
-        out.push_str(&format!(",x{x}"));
-    }
-    out.push('\n');
-    for name in names {
-        out.push_str(name);
-        for &x in xs {
-            let v = cells
-                .iter()
-                .find(|c| c.x == x && c.scheduler() == *name)
-                .map(|c| c.median(&value));
-            out.push_str(&format!(
-                ",{}",
-                v.map(|v| v.to_string()).unwrap_or_default()
-            ));
-        }
-        out.push('\n');
-    }
-    std::fs::write(path, out)
 }
 
 /// Print a per-panel series table: one row per scheduler, one column

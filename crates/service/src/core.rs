@@ -213,7 +213,7 @@ impl Service {
     }
 
     /// Queued tasks plus not-yet-admitted arrivals — the admission
-    /// backlog signal and the load generator's queue-depth sample.
+    /// backlog signal.
     pub fn backlog(&self) -> usize {
         self.sim.queue_len() + self.sim.pending_arrivals()
     }

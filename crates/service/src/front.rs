@@ -36,10 +36,6 @@ pub struct ServiceReport {
     pub metrics: RunMetrics,
     /// Engine-side submission counters.
     pub stats: ServiceStats,
-    /// Deepest backlog (queued tasks + unadmitted arrivals) the
-    /// decision loop observed — the queue-depth headline of
-    /// `BENCH_service.json`.
-    pub max_backlog: usize,
     /// True when the worker thread panicked; `metrics`/`stats` are
     /// defaults in that case, not measurements.
     pub worker_panicked: bool,
@@ -199,7 +195,6 @@ impl ServiceHandle {
 fn worker_loop(mut svc: Service, rx: Receiver<JobSpec>) -> ServiceReport {
     let mut open = true;
     let mut horizon = false;
-    let mut max_backlog = 0usize;
     loop {
         // Drain everything already queued, without blocking.
         loop {
@@ -214,7 +209,6 @@ fn worker_loop(mut svc: Service, rx: Receiver<JobSpec>) -> ServiceReport {
                 }
             }
         }
-        max_backlog = max_backlog.max(svc.backlog());
         if svc.has_work() && !horizon {
             if svc.tick() == StepOutcome::Horizon {
                 horizon = true;
@@ -238,7 +232,6 @@ fn worker_loop(mut svc: Service, rx: Receiver<JobSpec>) -> ServiceReport {
     ServiceReport {
         metrics: svc.finish(),
         stats,
-        max_backlog,
         worker_panicked: false,
         durability,
         durability_error,

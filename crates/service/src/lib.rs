@@ -34,14 +34,14 @@
 //!   crashed service from disk bit-identically (chaos-tested in
 //!   `crates/service/tests/chaos.rs`).
 //!
-//! The load generator (`crates/bench/src/bin/service_load.rs`) drives
-//! the threaded front-end closed-loop and gates throughput and p99
-//! decision latency (`BENCH_service.json`); see `docs/SERVICE.md`.
+//! The repo benchmark's `service-crash` workload (`perfbench/`) gates
+//! the durable service's throughput and round latency; see
+//! `docs/SERVICE.md`.
 //!
 //! This crate is in the deterministic lint tier: nothing here reads a
 //! wall clock — decision latency is measured *inside* the engine
-//! (`obs` log₂ histogram) and by the load generator, which is a
-//! `src/bin/` target and therefore tier-exempt.
+//! (`obs` log₂ histogram) and by perfbench, which lives outside the
+//! workspace.
 
 // Panic-freedom is machine-checked twice: crate-wide here (clippy,
 // non-test code only) and structurally by `cargo run -p mlfs-lint`.

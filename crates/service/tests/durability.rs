@@ -9,7 +9,7 @@ use mlfs_service::durability::snapshot::{
 use mlfs_service::durability::wal::{
     crc32, read_wal, truncate_to, FsyncPolicy, WalError, WalRecord, WalWriter,
 };
-use mlfs_service::{DurabilityConfig, DurabilityError, Service};
+use mlfs_service::{DurabilityConfig, DurabilityError, Service, SubmitError};
 use mlfs_sim::engine::StepOutcome;
 use mlfs_sim::experiments::{fig4, Experiment};
 use std::path::{Path, PathBuf};
@@ -515,6 +515,85 @@ fn build_on_an_existing_dir_starts_fresh() {
     let scan = read_wal(&dir.join("wal.log")).expect("fresh wal");
     assert!(scan.records.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The durable service behind the threaded front-end: every accepted
+/// job is logged once, in the counters and in the JSONL trace, and
+/// recovering the directory after the run drains to the live run's
+/// metrics.
+#[test]
+fn durable_threaded_front_end_logs_every_accept_and_recovers_bit_identically() {
+    let e = small_fig4(16);
+    let dir = tmpdir("threaded");
+    let trace_path = std::env::temp_dir().join(format!(
+        "mlfs-durability-threaded-{}.jsonl",
+        std::process::id()
+    ));
+    let mut dcfg = DurabilityConfig::new(&dir);
+    dcfg.fsync = FsyncPolicy::EveryN(32);
+    dcfg.snapshot_every_rounds = 4;
+    dcfg.keep_snapshots = 3;
+    dcfg.trace = obs::TraceConfig::Jsonl {
+        path: trace_path.clone(),
+    };
+    let handle = Service::builder(e.sim.clone())
+        .durability(dcfg.clone())
+        .build(mlfh(&e))
+        .expect("fresh durable service")
+        .spawn(64);
+    for spec in e.jobs() {
+        let mut spec = spec;
+        loop {
+            match handle.submit(spec) {
+                Ok(()) => break,
+                Err(SubmitError::Backpressure(s)) => {
+                    spec = s;
+                    std::thread::yield_now();
+                }
+                Err(SubmitError::Closed(_)) => panic!("worker closed early"),
+            }
+        }
+    }
+    let report = handle.finish();
+    assert!(!report.worker_panicked);
+    assert_eq!(report.durability_error, None);
+    let accepted = report.stats.accepted;
+    assert_eq!(accepted, 16);
+    let dur = report
+        .durability
+        .expect("durable service reports telemetry");
+    assert_eq!(dur.count(obs::Counter::WalAppends), accepted);
+    assert!(dur.count(obs::Counter::SnapshotWrites) >= 2);
+
+    // The trace holds one WalAppend per accepted job, seqs 1..=accepted.
+    let mut seqs: Vec<u64> = obs::TraceReader::open(&trace_path)
+        .expect("trace readable")
+        .filter_map(|ev| match ev {
+            obs::TraceEvent::WalAppend { seq, .. } => Some(seq),
+            _ => None,
+        })
+        .collect();
+    seqs.sort_unstable();
+    assert_eq!(seqs, (1..=accepted).collect::<Vec<_>>());
+
+    let mut live = report.metrics;
+    live.clear_wall_clock();
+    dcfg.trace = obs::TraceConfig::Disabled;
+    let (mut svc, rec) = Service::builder(e.sim.clone())
+        .durability(dcfg)
+        .recover(mlfh(&e))
+        .expect("recovery succeeds");
+    assert_eq!(rec.resumed_accepted, accepted);
+    assert_eq!(svc.run_until_drained(), StepOutcome::Drained);
+    let mut recovered = svc.finish();
+    recovered.clear_wall_clock();
+    assert_eq!(
+        serde_json::to_string(&live).expect("metrics json"),
+        serde_json::to_string(&recovered).expect("metrics json"),
+        "recovered run diverged from the live threaded run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&trace_path);
 }
 
 /// Submit what is due before the next tick. A service without work

@@ -1,7 +1,7 @@
 //! Service-level integration tests: deterministic shedding under
 //! overload, crash-safe snapshot/restore, and the threaded front-end.
 
-use mlfs_service::{AdmissionPolicy, Service, ShedReason, SubmitOutcome};
+use mlfs_service::{AdmissionPolicy, Service, ShedReason, SubmitError, SubmitOutcome};
 use mlfs_sim::engine::StepOutcome;
 use mlfs_sim::experiments::{fig4, Experiment};
 
@@ -317,35 +317,55 @@ fn snapshot_restore_roundtrips_counters_and_backlog() {
 
 #[test]
 fn threaded_front_end_completes_all_accepted_jobs() {
-    let e = small_fig4(8);
-    let svc = Service::new(e.sim.clone(), mlfh(&e), None);
-    let handle = svc.spawn(64);
-    let mut sent = 0u64;
-    for spec in e.jobs() {
-        let mut spec = spec;
-        loop {
-            match handle.submit(spec) {
-                Ok(()) => break,
-                Err(mlfs_service::SubmitError::Backpressure(s)) => {
-                    spec = s;
-                    std::thread::yield_now();
+    // (jobs, queue slots, admission, retry on backpressure). The second
+    // input is an overload burst: a tiny queue and backlog, offered once
+    // without retrying, must shed instead of stalling or panicking.
+    let overload = AdmissionPolicy {
+        max_backlog: 64,
+        ..AdmissionPolicy::default()
+    };
+    for (jobs, queue, policy, retry) in [(8, 64, None, true), (100, 8, Some(overload), false)] {
+        let e = small_fig4(jobs);
+        let handle = Service::new(e.sim.clone(), mlfh(&e), policy).spawn(queue);
+        let mut sent = 0u64;
+        let mut backpressure_shed = 0u64;
+        for spec in e.jobs() {
+            let mut spec = spec;
+            loop {
+                match handle.submit(spec) {
+                    Ok(()) => sent += 1,
+                    Err(SubmitError::Backpressure(s)) if retry => {
+                        spec = s;
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    Err(SubmitError::Backpressure(_)) => backpressure_shed += 1,
+                    Err(SubmitError::Closed(_)) => panic!("worker closed early"),
                 }
-                Err(mlfs_service::SubmitError::Closed(_)) => panic!("worker closed early"),
+                break;
             }
         }
-        sent += 1;
+        let report = handle.finish();
+        assert!(!report.worker_panicked);
+        let accepted = report.stats.accepted;
+        assert_eq!(accepted + report.stats.shed, sent);
+        assert_eq!(
+            accepted + report.stats.shed + backpressure_shed,
+            jobs as u64
+        );
+        if retry {
+            assert_eq!(accepted, jobs as u64, "retrying loses nothing");
+        } else {
+            assert!(backpressure_shed + report.stats.shed > 0, "the burst sheds");
+        }
+        assert_eq!(report.metrics.jobs.len() as u64, accepted);
+        assert_eq!(report.metrics.scheduler, "MLF-H");
+        let finished = report
+            .metrics
+            .jobs
+            .iter()
+            .filter(|j| j.finished.is_some())
+            .count() as u64;
+        assert_eq!(finished, accepted, "every accepted job must finish");
     }
-    let report = handle.finish();
-    assert!(!report.worker_panicked);
-    assert_eq!(report.stats.accepted, sent);
-    assert_eq!(report.metrics.jobs.len() as u64, sent);
-    assert_eq!(report.metrics.scheduler, "MLF-H");
-    assert!(report.max_backlog > 0);
-    let finished = report
-        .metrics
-        .jobs
-        .iter()
-        .filter(|j| j.finished.is_some())
-        .count() as u64;
-    assert_eq!(finished, sent, "every accepted job must finish");
 }

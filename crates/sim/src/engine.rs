@@ -505,7 +505,7 @@ impl Simulation {
         // Wall-clock timing of the scheduler call itself, recorded
         // as an observability metric (decision_times_ms); it never
         // influences simulated time or any scheduling decision.
-        let started = Instant::now(); // lint:allow(det-wall-clock) reason="measures real decision latency for BENCH_scheduler.json; scheduler-invisible"
+        let started = Instant::now(); // lint:allow(det-wall-clock) reason="measures real decision latency for decision_times_ms and the Fig. 4(h) panel; scheduler-invisible"
         let actions = scheduler.schedule_stream(&ctx, &arrived);
         let elapsed = started.elapsed();
         self.metrics

@@ -26,7 +26,4 @@ run ablations --study topology  | tee results/logs/ablation-topology.txt
 run ablations --study params    | tee results/logs/ablation-params.txt
 run ablations --study stragglers | tee results/logs/ablation-stragglers.txt
 
-echo "=== criterion (Fig. 4h cross-check) ==="
-cargo bench -p mlfs-bench | tee results/logs/criterion.txt
-
 echo "All results under results/"
